@@ -2,9 +2,10 @@
 
 Discretizes the radial operator -d^2/dr^2 + V(r) + (m^2 - 1/4)/r^2 with
 second-order central differences on a truncated uniform grid, extracts the
-low spectrum with Sturm-sequence bisection plus inverse iteration (no
-library eigensolver), and provides Simpson quadrature for normalization,
-overlaps and convergence diagnostics.
+low spectrum with Sturm-sequence bisection plus Rayleigh-quotient
+refinement on twisted-factorization eigenvectors (no library eigensolver),
+and provides Simpson quadrature for normalization, overlaps and
+convergence diagnostics.
 
 The half-line domain is truncated where both exponential tails of the exact
 states fall below exp(-T) of their peak scale (T = 45 by default, or the
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,9 +38,14 @@ class ConvergenceError(RuntimeError):
 
 
 def tail_threshold() -> float:
-    """Truncation threshold T, overridable via ANHARM_TAIL_THRESHOLD."""
+    """Truncation threshold T, overridable via ANHARM_TAIL_THRESHOLD.
+
+    Raises ValueError unless T is finite and positive."""
     raw = os.environ.get("ANHARM_TAIL_THRESHOLD")
-    return float(raw) if raw else DEFAULT_TAIL_THRESHOLD
+    t = float(raw) if raw else DEFAULT_TAIL_THRESHOLD
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError(f"ANHARM_TAIL_THRESHOLD must be finite and > 0, got {raw!r}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -91,6 +98,14 @@ class DiscreteHamiltonian:
     def n(self) -> int:
         return len(self.diag)
 
+    @cached_property
+    def _recurrence(self) -> tuple[list, list, float]:
+        """(diag, [0] + offdiag^2, pivmin) as Python floats, the inputs of
+        every pivot recurrence on this matrix."""
+        e2 = self.offdiag**2
+        pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))  # as LAPACK dstebz
+        return self.diag.tolist(), [0.0] + e2.tolist(), pivmin
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = self.diag * v
         out[:-1] += self.offdiag * v[1:]
@@ -109,27 +124,32 @@ def assemble(params: PotentialParams, m: int, grid: RadialGrid) -> DiscreteHamil
 
 
 # ---------------------------------------------------------------------------
-# Sturm-sequence bisection + inverse iteration
+# Sturm bisection + twisted-factorization Rayleigh refinement
 # ---------------------------------------------------------------------------
+
+def _pivots(d: list, e2: list, lam: float, pivmin: float) -> tuple[int, list]:
+    """Pivots q_i = d_i - lam - e2_i / q_(i-1) of T - lam I = L D L^T, and
+    how many are negative.  e2[0] must be 0; a pivot smaller than pivmin in
+    magnitude is replaced by -pivmin.  Runs over Python floats, which is
+    several times faster than indexing numpy arrays element by element."""
+    pivots = []
+    append = pivots.append
+    negatives = 0
+    q = 1.0
+    for di, ei2 in zip(d, e2):
+        q = di - lam - ei2 / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        if q < 0.0:
+            negatives += 1
+        append(q)
+    return negatives, pivots
+
 
 def sturm_count(ham: DiscreteHamiltonian, lam: float) -> int:
     """Number of eigenvalues strictly below lam (Sturm sequence count)."""
-    d = ham.diag
-    e = ham.offdiag
-    pivmin = np.finfo(float).tiny
-    if len(e):
-        pivmin = max(pivmin, np.finfo(float).eps * float(np.max(e**2)))
-    count = 0
-    q = d[0] - lam
-    if q < 0.0:
-        count += 1
-    for i in range(1, len(d)):
-        if abs(q) < pivmin:
-            q = -pivmin
-        q = d[i] - lam - e[i - 1] ** 2 / q
-        if q < 0.0:
-            count += 1
-    return count
+    d, e2, pivmin = ham._recurrence
+    return _pivots(d, e2, lam, pivmin)[0]
 
 
 def _gershgorin_bounds(ham: DiscreteHamiltonian):
@@ -140,57 +160,28 @@ def _gershgorin_bounds(ham: DiscreteHamiltonian):
     return float(np.min(d - radius)), float(np.max(d + radius))
 
 
-def _bisect_kth(ham: DiscreteHamiltonian, k: int, lo: float, hi: float, tol: float) -> float:
-    """Bisection for the k-th (1-based) smallest eigenvalue."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if sturm_count(ham, mid) >= k:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+def _twisted_rayleigh(ham: DiscreteHamiltonian, sigma: float):
+    """One Rayleigh-quotient step on the twisted-factorization vector at sigma.
 
-
-def _solve_shifted(ham: DiscreteHamiltonian, sigma: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (H - sigma I) x = rhs by tridiagonal Gaussian elimination with
-    partial pivoting; near-singular pivots are nudged so inverse iteration
-    can shift arbitrarily close to an eigenvalue."""
-    n = ham.n
-    u = (ham.diag - sigma).astype(float)       # main diagonal of U
-    v = np.empty(n)                            # first superdiagonal
-    w = np.zeros(n)                            # second superdiagonal (from pivoting)
-    v[:-1] = ham.offdiag
-    v[-1] = 0.0
-    x = rhs.astype(float).copy()
-    tiny = np.finfo(float).eps * max(1.0, float(np.max(np.abs(ham.diag)))) * 1e-8
-    for i in range(n - 1):
-        sub = ham.offdiag[i]
-        if abs(sub) > abs(u[i]):
-            # swap rows i and i+1; the old row i becomes row i+1 with its
-            # entries shifted into (lead, main, super) position
-            old_u, old_v, old_w = u[i], v[i], w[i]
-            u[i], v[i], w[i] = sub, u[i + 1], v[i + 1]
-            x[i], x[i + 1] = x[i + 1], x[i]
-            lead = old_u
-            u[i + 1] = old_v
-            v[i + 1] = old_w
-        else:
-            lead = sub
-        if abs(u[i]) < tiny:
-            u[i] = tiny
-        mult = lead / u[i]
-        u[i + 1] -= mult * v[i]
-        v[i + 1] -= mult * w[i]
-        x[i + 1] -= mult * x[i]
-    if abs(u[-1]) < tiny:
-        u[-1] = tiny
-    x[-1] /= u[-1]
-    x[-2] = (x[-2] - v[-2] * x[-1]) / u[-2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (x[i] - v[i] * x[i + 1] - w[i] * x[i + 2]) / u[i]
-    return x
+    With forward pivots D+ and backward pivots D- of T - sigma I, the twist
+    index r minimises |gamma_r|, gamma_r = D+_r + D-_r - (d_r - sigma).  The
+    vector z with z_r = 1, grown outward by products of -e/D+ and -e/D-,
+    satisfies (T - sigma I) z = gamma_r e_r, so its Rayleigh quotient is
+    sigma + gamma_r / |z|^2, and every entry, tails included, carries
+    relative accuracy (Parlett & Dhillon, LAA 267, 1997).
+    Returns the unit vector and its Rayleigh quotient.
+    """
+    d, e2, pivmin = ham._recurrence
+    fwd = np.array(_pivots(d, e2, sigma, pivmin)[1])
+    bwd = np.array(_pivots(d[::-1], [0.0] + e2[:0:-1], sigma, pivmin)[1][::-1])
+    gamma = fwd + bwd - (ham.diag - sigma)
+    r = int(np.argmin(np.abs(gamma)))
+    e = ham.offdiag
+    z = np.ones(ham.n)
+    z[:r] = np.cumprod((-e[:r] / fwd[:r])[::-1])[::-1]
+    z[r + 1:] = np.cumprod(-e[r:] / bwd[r + 1:])
+    norm2 = float(z @ z)
+    return z / math.sqrt(norm2), sigma + float(gamma[r]) / norm2
 
 
 @dataclass(frozen=True)
@@ -206,61 +197,56 @@ class SpectrumResult:
     grid: RadialGrid
 
 
-def lowest_eigenvalues(ham: DiscreteHamiltonian, k: int, max_iter: int = 100) -> SpectrumResult:
-    """k smallest eigenpairs via Sturm bisection then inverse iteration.
+def lowest_eigenvalues(ham: DiscreteHamiltonian, k: int) -> SpectrumResult:
+    """k smallest eigenpairs via Sturm bisection then twisted-factorization
+    Rayleigh refinement.
 
-    Bisection brackets each eigenvalue with the no-skip guarantee of the
-    Sturm count; inverse iteration refines the pair, and the final
-    eigenvalue is the Rayleigh quotient of the converged vector.
+    Bisection isolates the j-th eigenvalue in [a, b] (sturm_count(a) = j-1,
+    sturm_count(b) = j) and narrows the bracket to 1e-3 of its endpoints.
+    Three Rayleigh-quotient steps on twisted-factorization vectors then
+    refine the pair from the bracket midpoint.  The result is certified by
+    its Rayleigh quotient lying inside the isolating bracket, which also
+    makes the eigenvalues ascend with none skipped; otherwise
+    ConvergenceError is raised.
     """
     n = ham.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
-    scale = max(1.0, float(np.max(np.abs(ham.diag))))
-    bisect_tol = 1e-10 * scale
-    res_tol = 1e-8 * float(np.max(np.abs(ham.diag)))
     lo, hi = _gershgorin_bounds(ham)
-    rng = np.random.default_rng(20260825)
+    floor = 1e-9 * (hi - lo)  # keeps an eigenvalue near 0 from bisecting to underflow
 
     values = []
     vectors = []
+    a, count_a = lo, 0
     for j in range(1, k + 1):
-        sigma = _bisect_kth(ham, j, lo, hi, bisect_tol)
-        v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        rho = sigma
-        # polish well past the spec tolerance so tail components carry no
-        # iteration noise above the node-count floor
-        tight_tol = 50.0 * np.finfo(float).eps * scale
-        res = math.inf
-        for _ in range(max_iter):
-            y = _solve_shifted(ham, sigma, v)
-            for prev in vectors:
-                y -= (prev @ y) * prev
-            norm = np.linalg.norm(y)
-            if norm == 0.0:
-                y = rng.standard_normal(n)
-                norm = np.linalg.norm(y)
-            v = y / norm
-            rho = float(v @ ham.matvec(v))
-            last = res
-            res = float(np.linalg.norm(ham.matvec(v) - rho * v))
-            if res <= tight_tol or res >= 0.5 * last:
-                break
-        if res > res_tol:
-            raise ConvergenceError(f"inverse iteration failed for eigenvalue #{j}")
+        b, count_b = hi, n
+        while not (count_a == j - 1 and count_b == j
+                   and b - a <= 1e-3 * max(abs(a), abs(b), floor)):
+            mid = 0.5 * (a + b)
+            if not a < mid < b:
+                raise ConvergenceError(f"bisection could not isolate eigenvalue #{j} in [{a}, {b}]")
+            count = sturm_count(ham, mid)
+            if count >= j:
+                b, count_b = mid, count
+            else:
+                a, count_a = mid, count
+        # Rayleigh-quotient iteration converges cubically: from a bracket
+        # 1e-3 wide relative to the eigenvalue, two steps reach rounding
+        # level and the third makes the vector at that shift
+        rho = 0.5 * (a + b)
+        for _ in range(3):
+            v, rho = _twisted_rayleigh(ham, rho)
+        if not a <= rho <= b:
+            raise ConvergenceError(
+                f"Rayleigh refinement of eigenvalue #{j} left its isolating bracket"
+            )
         first = np.flatnonzero(np.abs(v) > 0.0)[0]
         if v[first] < 0.0:
             v = -v
         values.append(rho)
         vectors.append(v)
-
-    eigenvalues = np.array(values)
-    if np.any(np.diff(eigenvalues) <= 0.0):
-        raise ConvergenceError("eigenvalues not strictly ascending")
-    if sturm_count(ham, eigenvalues[-1] + bisect_tol + res_tol) < k:
-        raise ConvergenceError("Sturm count check failed: an eigenvalue was skipped")
-    return SpectrumResult(eigenvalues=eigenvalues, eigenvectors=np.array(vectors), grid=ham.grid)
+        a, count_a = b, j
+    return SpectrumResult(eigenvalues=np.array(values), eigenvectors=np.array(vectors), grid=ham.grid)
 
 
 def node_count(v: np.ndarray, rel_floor: float = 1e-12) -> int:

@@ -148,6 +148,12 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", "--a", "-1", "--m", "0")
         assert code == 2
 
+    def test_overflowing_operator_exits_with_message(self, capsys):
+        # at a = 1e300 the discretized operator overflows double precision
+        code, _, err = run(capsys, "verify", "--a", "1e300", "--grid-n", "64")
+        assert code in {2, 3, 4, 5}
+        assert err.startswith("error: ")
+
     def test_failed_report_exits_5(self, capsys, monkeypatch):
         real = cli.verify
 

@@ -59,6 +59,12 @@ class TestRadialGrid:
         g = build_grid(sec3.params, 100)
         assert g.r_max == pytest.approx(math.sqrt(180.0), rel=1e-12)
 
+    @pytest.mark.parametrize("raw", ["0", "-3", "nan", "inf"])
+    def test_env_threshold_rejects_nonpositive_or_nonfinite(self, sec3, monkeypatch, raw):
+        monkeypatch.setenv("ANHARM_TAIL_THRESHOLD", raw)
+        with pytest.raises(ValueError, match="ANHARM_TAIL_THRESHOLD"):
+            build_grid(sec3.params, 100)
+
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
             RadialGrid(r_min=2.0, r_max=1.0, n=100)
@@ -171,10 +177,12 @@ class TestNodeCount:
         with pytest.raises(ValueError):
             node_count(np.zeros(5))
 
-    def test_oscillation_theorem_low_modes(self, sec3):
-        # k-th eigenvector of a Jacobi matrix has exactly k sign changes
-        g = build_grid(sec3.params, 1000)
-        result = lowest_eigenvalues(assemble(sec3.params, 0, g), 4)
+    @pytest.mark.parametrize("n,k", [(1000, 4), (32000, 2)])
+    def test_oscillation_theorem_low_modes(self, sec3, n, k):
+        # k-th eigenvector of a Jacobi matrix has exactly k sign changes,
+        # down to its tails on fine grids
+        g = build_grid(sec3.params, n)
+        result = lowest_eigenvalues(assemble(sec3.params, 0, g), k)
         for k, vec in enumerate(result.eigenvectors):
             assert node_count(vec) == k
 
