@@ -1,43 +1,18 @@
-"""Exact and numerical bound states of the 2D anharmonic potential a r^2 + b r^-4 + c r^-6."""
+"""Exact and numerical bound states of the 2D anharmonic potential a r^2 + b r^-4 + c r^-6.
+
+The package namespace holds what the command line and the scripts use; the
+rest of the API is in anharm2d.closed_form and anharm2d.numeric.
+"""
 
 from anharm2d.closed_form import (
     ClosedFormState,
-    JointSolution,
     Level,
     PotentialParams,
-    SignBranch,
     SolvabilityError,
-    excited_energy,
-    excited_kappa1,
-    excited_radial_eval,
-    excited_residual,
+    constrained_state,
     excited_solve,
-    ground_constraint_b,
-    ground_constraint_residual,
-    ground_energy,
-    ground_kappa,
-    ground_peak_radius,
-    ground_radial_eval,
-    ground_residual,
-    ground_state,
     radial_eval,
 )
-from anharm2d.numeric import (
-    ConvergenceError,
-    DiscreteHamiltonian,
-    RadialGrid,
-    SpectrumResult,
-    VerificationReport,
-    assemble,
-    build_grid,
-    convergence_study,
-    lowest_eigenvalues,
-    node_count,
-    normalization_constant,
-    overlap,
-    quadrature,
-    sturm_count,
-    verify,
-)
+from anharm2d.numeric import ConvergenceError, build_grid, normalization_constant, verify
 
 __version__ = "0.1.0"

@@ -8,22 +8,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
 from anharm2d.closed_form import (
     ClosedFormState,
+    Level,
     PotentialParams,
     SolvabilityError,
+    constrained_state,
     excited_solve,
-    excited_state,
-    ground_constraint_residual,
-    ground_kappa,
-    ground_state,
     radial_eval,
-    SignBranch,
 )
 from anharm2d.numeric import (
     ConvergenceError,
@@ -38,47 +34,10 @@ EXIT_CONSTRAINT = 3
 EXIT_CONVERGENCE = 4
 EXIT_VERIFY_FAILED = 5
 
-CONSTRAINT_REL_TOL = 1e-9
-
-
-class ConstraintViolation(ValueError):
-    """Supplied (a, b, c, m) are off the exact-solvability surface."""
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
-
-
-def _check_ground_constraint(params: PotentialParams, m: int) -> None:
-    res = ground_constraint_residual(params, m)
-    scale = max(
-        1.0,
-        (params.b + 2.0 * math.sqrt(params.c)) ** 2,
-        4.0 * params.c * (m * m + 2.0 * math.sqrt(params.a * params.c)),
-    )
-    if abs(res) > CONSTRAINT_REL_TOL * scale:
-        raise ConstraintViolation(
-            f"parameters violate the ground-state constraint: residual {res:.3e}"
-        )
-
-
-def _check_excited_constraint(params: PotentialParams, m: int) -> None:
-    sqrt_c = math.sqrt(params.c)
-    if abs(params.b + 6.0 * sqrt_c) > CONSTRAINT_REL_TOL * max(1.0, 6.0 * sqrt_c):
-        raise ConstraintViolation(
-            f"excited state requires b = -6*sqrt(c); got b = {params.b}"
-        )
-    gap = m * m + 2.0 * math.sqrt(params.a * params.c) - 4.0
-    if abs(gap) > CONSTRAINT_REL_TOL * 4.0:
-        raise ConstraintViolation(
-            "excited state requires m^2 + 2*sqrt(ac) = 4; "
-            f"got {m * m + 2.0 * math.sqrt(params.a * params.c):.6g}"
-        )
-
 
 def _resolve_state(args) -> tuple[ClosedFormState, PotentialParams]:
     """Build the requested closed-form state from either the joint solve
-    (only --a given) or explicit --c/--b, gated by the constraint residual."""
+    (only --a given) or explicit --c/--b, gated by constrained_state."""
     if (args.c is None) != (args.b is None):
         raise ValueError("--c and --b must be given together")
     if args.c is None:
@@ -86,15 +45,7 @@ def _resolve_state(args) -> tuple[ClosedFormState, PotentialParams]:
         state = joint.ground if args.state == "ground" else joint.excited
         return state, joint.params
     params = PotentialParams(a=args.a, b=args.b, c=args.c)
-    if args.state == "ground":
-        _check_ground_constraint(params, args.m)
-        # infer the kappa branch b was generated from
-        kappa = (params.b + 3.0 * math.sqrt(params.c)) / (2.0 * math.sqrt(params.c))
-        plus = ground_kappa(args.m, params.a, params.c, SignBranch.PLUS)
-        branch = SignBranch.PLUS if abs(kappa - plus) < 1e-6 * max(1.0, abs(plus)) else SignBranch.MINUS
-        return ground_state(params, args.m, branch), params
-    _check_excited_constraint(params, args.m)
-    return excited_state(params), params
+    return constrained_state(params, args.m, Level(args.state)), params
 
 
 def _write_text(path, text: str) -> None:
@@ -138,7 +89,7 @@ def cmd_eval(args) -> int:
     if args.normalize:
         values = values * normalization_constant(state, grid)
     lines = ["r,R"]
-    lines.extend(f"{_fmt(ri)},{_fmt(vi)}" for ri, vi in zip(r, values))
+    lines.extend("%.9g,%.9g" % row for row in zip(r.tolist(), values.tolist()))
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -203,18 +154,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SolvabilityError as exc:
+    except (ConvergenceError, ValueError) as exc:  # SolvabilityError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONSTRAINT
-    except ConstraintViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONSTRAINT
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        if isinstance(exc, SolvabilityError):
+            return EXIT_CONSTRAINT
+        return EXIT_CONVERGENCE if isinstance(exc, ConvergenceError) else EXIT_INVALID
 
 
 if __name__ == "__main__":

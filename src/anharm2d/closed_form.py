@@ -17,6 +17,10 @@ sqrt(a) r^2 - sqrt(c) r^-2 with its own exponent kappa1 = (b + 7 sqrt(c)) /
 m^2 + 2 sqrt(ac) = 4, which pins c = ((4 - m^2)/2)^2 / a and forces m in
 {0, 1}; see excited_solve.
 
+Both states share one form (ClosedFormState), so one evaluator, radial_eval,
+and one node-safe eigen_residual serve both levels.  constrained_state is the
+solvability gate for explicit (a, b, c, m): the state, or ConstraintViolation.
+
 All functions here are pure and accept scalars or numpy arrays for r.
 """
 
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,9 +36,16 @@ import numpy as np
 # evaluators return exactly 0 past it instead of subnormal noise.
 UNDERFLOW_LOG = -745.0
 
+# Relative tolerance of the solvability gate in constrained_state.
+CONSTRAINT_REL_TOL = 1e-9
+
 
 class SolvabilityError(ValueError):
-    """No joint ground+excited closed-form solution exists for the request."""
+    """No closed-form solution exists for the request."""
+
+
+class ConstraintViolation(SolvabilityError):
+    """Supplied (a, b, c, m) are off the exact-solvability surface."""
 
 
 class SignBranch(enum.Enum):
@@ -58,6 +69,9 @@ class PotentialParams:
     c: float
 
     def __post_init__(self):
+        for name, value in (("a", self.a), ("b", self.b), ("c", self.c)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (self.a > 0.0):
             raise ValueError(f"harmonic coefficient a must be > 0, got {self.a}")
         if not (self.c > 0.0):
@@ -110,15 +124,11 @@ class ClosedFormState:
 
     def scaled(self, factor: float) -> "ClosedFormState":
         """Same state with the prefactor multiplied by `factor`."""
-        return ClosedFormState(
-            kappa=self.kappa,
-            alpha=self.alpha,
-            beta=self.beta,
+        return replace(
+            self,
             poly_c2=factor * self.poly_c2,
             poly_c0=factor * self.poly_c0,
             poly_cm2=factor * self.poly_cm2,
-            energy=self.energy,
-            level=self.level,
         )
 
 
@@ -129,8 +139,9 @@ def _check_positive_radius(r):
     return r
 
 
-def _maybe_scalar(x, scalar_in):
-    return float(x) if scalar_in else x
+def _like(r, out):
+    """out, computed at np.atleast_1d(r), as a float when r is a scalar."""
+    return float(out[0]) if r.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +175,18 @@ def ground_constraint_b(a: float, c: float, m: int, branch: SignBranch) -> float
     return -2.0 * math.sqrt(c) + root
 
 
+def _ground_constraint_terms(params: PotentialParams, m: int) -> tuple[float, float]:
+    """The two sides (b + 2 sqrt(c))^2 and 4c (m^2 + 2 sqrt(ac)) of the ground constraint."""
+    a, b, c = params.a, params.b, params.c
+    centrifugal_coefficient(m)
+    return (b + 2.0 * math.sqrt(c)) ** 2, 4.0 * c * (m * m + 2.0 * math.sqrt(a * c))
+
+
 def ground_constraint_residual(params: PotentialParams, m: int) -> float:
     """(b + 2 sqrt(c))^2 - 4c (m^2 + 2 sqrt(ac)); zero iff b sits on the
     exact-solvability surface (either kappa branch)."""
-    a, b, c = params.a, params.b, params.c
-    centrifugal_coefficient(m)
-    return (b + 2.0 * math.sqrt(c)) ** 2 - 4.0 * c * (m * m + 2.0 * math.sqrt(a * c))
+    lhs, rhs = _ground_constraint_terms(params, m)
+    return lhs - rhs
 
 
 def ground_energy(params: PotentialParams) -> float:
@@ -197,56 +214,6 @@ def ground_state(params: PotentialParams, m: int, branch: SignBranch) -> ClosedF
         energy=(2.0 * kappa + 1.0) * sqrt_a,
         level=Level.GROUND,
     )
-
-
-def _log_envelope(state: ClosedFormState, r):
-    """log of r^kappa * exp[(alpha r^2 + beta r^-2)/2].
-
-    r^2 or r^-2 may overflow to inf for extreme radii; the result is then
-    -inf (alpha, beta < 0) and gets clamped to 0 by the callers.
-    """
-    with np.errstate(over="ignore"):
-        return state.kappa * np.log(r) + 0.5 * (state.alpha * r**2 + state.beta * r**-2)
-
-
-def ground_radial_eval(state: ClosedFormState, r):
-    """Unnormalized ground radial wavefunction at r > 0.
-
-    Clamps to exactly 0 where the log of the envelope drops below the
-    double-precision underflow threshold, so the tails never produce
-    NaN/inf/subnormals.
-    """
-    if state.level is not Level.GROUND:
-        raise ValueError("state is not a ground state")
-    rr = _check_positive_radius(r)
-    scalar_in = rr.ndim == 0
-    rr = np.atleast_1d(rr)
-    t = _log_envelope(state, rr)
-    out = np.zeros_like(rr)
-    ok = t > UNDERFLOW_LOG
-    out[ok] = state.poly_c0 * np.exp(t[ok])
-    return _maybe_scalar(out[0] if scalar_in else out, scalar_in)
-
-
-def _envelope_derivatives(state: ClosedFormState, r):
-    """p', p'' for p = (alpha r^2 + beta r^-2)/2 + kappa ln r."""
-    p1 = state.alpha * r - state.beta * r**-3 + state.kappa / r
-    p2 = state.alpha + 3.0 * state.beta * r**-4 - state.kappa * r**-2
-    return p1, p2
-
-
-def ground_residual(state: ClosedFormState, params: PotentialParams, m: int, r):
-    """Analytic eigen-residual density p'' + (p')^2 + E - V - (m^2-1/4)/r^2.
-
-    Identically zero (to roundoff) exactly when the ansatz parameters
-    satisfy the matching equations for (params, m).
-    """
-    rr = _check_positive_radius(r)
-    scalar_in = rr.ndim == 0
-    rr = np.atleast_1d(rr)
-    p1, p2 = _envelope_derivatives(state, rr)
-    res = p2 + p1**2 + state.energy - params.evaluate(rr) - centrifugal_coefficient(m) / rr**2
-    return _maybe_scalar(res[0] if scalar_in else res, scalar_in)
 
 
 def ground_peak_radius(state: ClosedFormState) -> float:
@@ -294,51 +261,101 @@ def excited_state(params: PotentialParams) -> ClosedFormState:
     )
 
 
-def excited_radial_eval(state: ClosedFormState, r):
-    """Unnormalized first-excited radial wavefunction at r > 0.
-
-    Same underflow clamp as ground_radial_eval; the polynomial prefactor
-    grows only algebraically, so masking on the log-envelope keeps the
-    product finite everywhere on (0, inf).
-    """
-    if state.level is not Level.EXCITED:
-        raise ValueError("state is not an excited state")
-    rr = _check_positive_radius(r)
-    scalar_in = rr.ndim == 0
-    rr = np.atleast_1d(rr)
-    t = _log_envelope(state, rr)
-    out = np.zeros_like(rr)
-    ok = t > UNDERFLOW_LOG
-    pref = state.poly_c2 * rr[ok] ** 2 + state.poly_cm2 * rr[ok] ** -2
-    out[ok] = pref * np.exp(t[ok])
-    return _maybe_scalar(out[0] if scalar_in else out, scalar_in)
-
-
-def excited_residual(state: ClosedFormState, params: PotentialParams, m: int, r):
-    """Node-safe eigen-residual of the excited ansatz.
-
-    Returns f * [p'' + (p')^2 + E - V - (m^2-1/4)/r^2] + f'' + 2 p' f'
-    for the prefactor f = poly_c2 r^2 + poly_cm2 r^-2; this form avoids the
-    division by f of the raw logarithmic-derivative identity and is defined
-    at the node as well.
-    """
-    rr = _check_positive_radius(r)
-    scalar_in = rr.ndim == 0
-    rr = np.atleast_1d(rr)
-    p1, p2 = _envelope_derivatives(state, rr)
-    f = state.poly_c2 * rr**2 + state.poly_cm2 * rr**-2
-    f1 = 2.0 * state.poly_c2 * rr - 2.0 * state.poly_cm2 * rr**-3
-    f2 = 2.0 * state.poly_c2 + 6.0 * state.poly_cm2 * rr**-4
-    bracket = p2 + p1**2 + state.energy - params.evaluate(rr) - centrifugal_coefficient(m) / rr**2
-    res = f * bracket + f2 + 2.0 * p1 * f1
-    return _maybe_scalar(res[0] if scalar_in else res, scalar_in)
-
+# ---------------------------------------------------------------------------
+# Evaluation and eigen-residual, both levels
+# ---------------------------------------------------------------------------
 
 def radial_eval(state: ClosedFormState, r):
-    """Evaluate either level of closed-form state at r > 0."""
-    if state.level is Level.GROUND:
-        return ground_radial_eval(state, r)
-    return excited_radial_eval(state, r)
+    """Unnormalized radial wavefunction of either level at r > 0.
+
+    Exactly 0 where the log of r^kappa exp[(alpha r^2 + beta r^-2)/2] is
+    below the underflow threshold, so the tails never produce
+    NaN/inf/subnormals; the prefactor grows only algebraically, so the
+    product is finite everywhere on (0, inf).
+    """
+    rr = _check_positive_radius(r)
+    x = np.atleast_1d(rr)
+    # r^2 or r^-2 may overflow to inf for extreme radii; the log-envelope is
+    # then -inf (alpha, beta < 0) and the point is clamped to 0, whatever
+    # inf or nan the prefactor took there
+    with np.errstate(over="ignore", invalid="ignore"):
+        x2, xm2 = x**2, x**-2
+        t = state.kappa * np.log(x) + 0.5 * (state.alpha * x2 + state.beta * xm2)
+        pref = state.poly_c2 * x2 + state.poly_c0 + state.poly_cm2 * xm2
+        return _like(rr, np.where(t > UNDERFLOW_LOG, pref * np.exp(t), 0.0))
+
+
+def ground_radial_eval(state: ClosedFormState, r):
+    """radial_eval of a ground state; ValueError for an excited one."""
+    if state.level is not Level.GROUND:
+        raise ValueError("state is not a ground state")
+    return radial_eval(state, r)
+
+
+def excited_radial_eval(state: ClosedFormState, r):
+    """radial_eval of an excited state; ValueError for a ground one."""
+    if state.level is not Level.EXCITED:
+        raise ValueError("state is not an excited state")
+    return radial_eval(state, r)
+
+
+def eigen_residual(state: ClosedFormState, params: PotentialParams, m: int, r):
+    """Node-safe eigen-residual of either level, R = f exp(p):
+
+        f * [p'' + (p')^2 + E - V - (m^2-1/4)/r^2] + f'' + 2 p' f'
+
+    with p = (alpha r^2 + beta r^-2)/2 + kappa ln r and the prefactor
+    f = poly_c2 r^2 + poly_c0 + poly_cm2 r^-2.  Identically zero (to
+    roundoff) exactly when the ansatz matches (params, m); unlike the
+    logarithmic-derivative identity it never divides by f, so it is defined
+    at the excited node as well.
+    """
+    rr = _check_positive_radius(r)
+    x = np.atleast_1d(rr)
+    p1 = state.alpha * x - state.beta * x**-3 + state.kappa / x
+    p2 = state.alpha + 3.0 * state.beta * x**-4 - state.kappa * x**-2
+    f = state.poly_c2 * x**2 + state.poly_c0 + state.poly_cm2 * x**-2
+    f1 = 2.0 * state.poly_c2 * x - 2.0 * state.poly_cm2 * x**-3
+    f2 = 2.0 * state.poly_c2 + 6.0 * state.poly_cm2 * x**-4
+    bracket = p2 + p1**2 + state.energy - params.evaluate(x) - centrifugal_coefficient(m) / x**2
+    return _like(rr, f * bracket + f2 + 2.0 * p1 * f1)
+
+
+ground_residual = excited_residual = eigen_residual
+
+
+# ---------------------------------------------------------------------------
+# Solvability gate
+# ---------------------------------------------------------------------------
+
+def constrained_state(params: PotentialParams, m: int, level: Level) -> ClosedFormState:
+    """The closed-form state of `level` for explicit parameters.
+
+    Raises ConstraintViolation unless (params, m) satisfy that level's
+    exact-solvability conditions to CONSTRAINT_REL_TOL, relative to the
+    size of the terms that must cancel.  A ground state's kappa branch is
+    inferred from b.
+    """
+    a, b, c = params.a, params.b, params.c
+    sqrt_c = math.sqrt(c)
+    if level is Level.GROUND:
+        lhs, rhs = _ground_constraint_terms(params, m)
+        res = lhs - rhs
+        if abs(res) > CONSTRAINT_REL_TOL * max(1.0, lhs, rhs):
+            raise ConstraintViolation(
+                f"parameters violate the ground-state constraint: residual {res:.3e}"
+            )
+        # infer the kappa branch b was generated from
+        kappa = (b + 3.0 * sqrt_c) / (2.0 * sqrt_c)
+        plus = ground_kappa(m, a, c, SignBranch.PLUS)
+        branch = SignBranch.PLUS if abs(kappa - plus) < 1e-6 * max(1.0, abs(plus)) else SignBranch.MINUS
+        return ground_state(params, m, branch)
+    if abs(b + 6.0 * sqrt_c) > CONSTRAINT_REL_TOL * max(1.0, 6.0 * sqrt_c):
+        raise ConstraintViolation(f"excited state requires b = -6*sqrt(c); got b = {b}")
+    s = m * m + 2.0 * math.sqrt(a * c)
+    if abs(s - 4.0) > CONSTRAINT_REL_TOL * 4.0:
+        raise ConstraintViolation(f"excited state requires m^2 + 2*sqrt(ac) = 4; got {s:.6g}")
+    return excited_state(params)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +391,8 @@ def excited_solve(a: float, m: int) -> JointSolution:
 
     Only m in {0, 1} is solvable; m >= 2 would need sqrt(ac) <= 0.
     """
+    if not math.isfinite(a):
+        raise ValueError(f"a must be finite, got {a}")
     if not a > 0.0:
         raise ValueError(f"a must be > 0, got {a}")
     centrifugal_coefficient(m)

@@ -27,10 +27,14 @@ from anharm2d.closed_form import (
     PotentialParams,
     centrifugal_coefficient,
     excited_solve,
+    ground_energy,
     radial_eval,
 )
 
 DEFAULT_TAIL_THRESHOLD = 45.0
+NODE_REL_FLOOR = 1e-12  # node_count ignores entries below this fraction of max|v|
+QUAD_REL_TOL = 1e-10  # quadrature stops when two doublings agree to this
+QUAD_MAX_DOUBLINGS = 20
 
 
 class ConvergenceError(RuntimeError):
@@ -249,13 +253,13 @@ def lowest_eigenvalues(ham: DiscreteHamiltonian, k: int) -> SpectrumResult:
     return SpectrumResult(eigenvalues=np.array(values), eigenvectors=np.array(vectors), grid=ham.grid)
 
 
-def node_count(v: np.ndarray, rel_floor: float = 1e-12) -> int:
-    """Strict sign changes in v, ignoring entries below rel_floor * max|v|."""
+def node_count(v: np.ndarray) -> int:
+    """Strict sign changes in v, ignoring entries below NODE_REL_FLOOR * max|v|."""
     v = np.asarray(v, dtype=float)
     peak = float(np.max(np.abs(v)))
     if peak == 0.0:
         raise ValueError("node_count needs a nonzero vector")
-    kept = v[np.abs(v) > rel_floor * peak]
+    kept = v[np.abs(v) > NODE_REL_FLOOR * peak]
     return int(np.sum(np.sign(kept[:-1]) * np.sign(kept[1:]) < 0.0))
 
 
@@ -270,25 +274,19 @@ def _simpson(f, a: float, b: float, intervals: int) -> float:
     return h / 3.0 * float(y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2]))
 
 
-def quadrature(
-    f,
-    grid: RadialGrid,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 0.0,
-    max_doublings: int = 20,
-) -> float:
+def quadrature(f, grid: RadialGrid, abs_tol: float = 0.0) -> float:
     """Composite Simpson over [r_min, r_max], doubling the resolution until
-    two successive estimates agree to rel_tol (relative).
+    two successive estimates agree to QUAD_REL_TOL (relative).
 
     abs_tol gives an absolute convergence floor for integrals that cancel to
     (near) zero, where a purely relative criterion can never trigger.
     """
     intervals = 16
     prev = _simpson(f, grid.r_min, grid.r_max, intervals)
-    for _ in range(max_doublings):
+    for _ in range(QUAD_MAX_DOUBLINGS):
         intervals *= 2
         cur = _simpson(f, grid.r_min, grid.r_max, intervals)
-        if abs(cur - prev) <= max(rel_tol * max(abs(cur), abs(prev)), abs_tol):
+        if abs(cur - prev) <= max(QUAD_REL_TOL * max(abs(cur), abs(prev)), abs_tol):
             return cur
         prev = cur
     raise ConvergenceError("Simpson quadrature did not converge")
@@ -316,33 +314,31 @@ def overlap(s1: ClosedFormState, s2: ClosedFormState, grid: RadialGrid) -> float
 # Convergence diagnostics and orchestration
 # ---------------------------------------------------------------------------
 
-def _ground_errors(params: PotentialParams, m: int, exact: tuple, n_list, k: int = 2):
-    """Per-resolution spacings and |eigenvalue - exact| for the lowest k levels."""
-    rows = []
-    for n in sorted(n_list):
+def _error_table(params: PotentialParams, m: int, exact: tuple, n_list):
+    """Spacings h over the ascending n_list, |eigenvalue - exact| per level
+    (one row per entry of exact) and the spectrum on the finest grid."""
+    hs, errs = [], []
+    for n in n_list:
         grid = build_grid(params, n)
-        spectrum = lowest_eigenvalues(assemble(params, m, grid), k)
-        errs = tuple(abs(spectrum.eigenvalues[i] - exact[i]) for i in range(k))
-        rows.append((grid.h, errs, spectrum))
-    return rows
+        spectrum = lowest_eigenvalues(assemble(params, m, grid), len(exact))
+        hs.append(grid.h)
+        errs.append([abs(spectrum.eigenvalues[i] - exact[i]) for i in range(len(exact))])
+    return np.array(hs), np.array(errs).T, spectrum
 
 
-def convergence_study(params: PotentialParams, m: int, n_list, exact_e0: float | None = None) -> float:
-    """Empirical order q of |E0_hat(h) - E0| ~ h^q across the resolutions.
+def _order(hs: np.ndarray, errs: np.ndarray) -> float:
+    """Least-squares slope of log(err) against log(h)."""
+    return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
 
-    exact_e0 defaults to the closed-form ground energy of params.
-    """
+
+def convergence_study(params: PotentialParams, m: int, n_list) -> float:
+    """Empirical order q of |E0_hat(h) - E0| ~ h^q across the resolutions,
+    with E0 the closed-form ground energy of params."""
     n_list = sorted(n_list)
     if len(n_list) < 3:
         raise ValueError("convergence study needs at least 3 resolutions")
-    from anharm2d.closed_form import ground_energy
-
-    e0 = ground_energy(params) if exact_e0 is None else exact_e0
-    rows = _ground_errors(params, m, (e0,), n_list, k=1)
-    hs = np.array([h for h, _, _ in rows])
-    errs = np.array([e[0] for _, e, _ in rows])
-    slope, _ = np.polyfit(np.log(hs), np.log(errs), 1)
-    return float(slope)
+    hs, errs, _ = _error_table(params, m, (ground_energy(params),), n_list)
+    return _order(hs, errs[0])
 
 
 def richardson(e_coarse: float, h_coarse: float, e_fine: float, h_fine: float) -> float:
@@ -394,27 +390,18 @@ def verify(a: float, m: int, n: int = 4000) -> VerificationReport:
     """
     joint = excited_solve(a, m)
     exact = (joint.e0, joint.e1)
-    n_list = [max(16, n // 4), max(16, n // 2), n]
-    rows = _ground_errors(joint.params, m, exact, n_list, k=2)
-    hs = np.array([h for h, _, _ in rows])
-    err0 = np.array([e[0] for _, e, _ in rows])
-    err1 = np.array([e[1] for _, e, _ in rows])
-    order = float(np.polyfit(np.log(hs), np.log(err0), 1)[0])
+    hs, errs, spectrum = _error_table(joint.params, m, exact, [max(16, n // 4), max(16, n // 2), n])
+    order = _order(hs, errs[0])
     # least-squares fit of err = C h^2, one constant per level
-    c0 = float(np.sum(err0 * hs**2) / np.sum(hs**4))
-    c1 = float(np.sum(err1 * hs**2) / np.sum(hs**4))
+    c = np.sum(errs * hs**2, axis=1) / np.sum(hs**4)
 
-    h_fine, errs_fine, spectrum = rows[-1]
     grid = spectrum.grid
+    h_fine, errs_fine = grid.h, errs[:, -1]
     nodes = tuple(node_count(vec) for vec in spectrum.eigenvectors)
     ov = overlap(joint.ground, joint.excited, grid)
-    norms = (
-        normalization_constant(joint.ground, grid),
-        normalization_constant(joint.excited, grid),
-    )
+    norms = tuple(normalization_constant(state, grid) for state in (joint.ground, joint.excited))
     passed = (
-        errs_fine[0] <= 10.0 * c0 * h_fine**2
-        and errs_fine[1] <= 10.0 * c1 * h_fine**2
+        np.all(errs_fine <= 10.0 * c * h_fine**2)
         and nodes == (0, 1)
         and abs(ov) <= 1e-8
         and all(np.isfinite(x) for x in (*norms, ov, order))

@@ -1,6 +1,7 @@
 import pytest
 
-from anharm2d import build_grid, excited_solve
+from anharm2d.closed_form import excited_solve
+from anharm2d.numeric import build_grid
 
 
 @pytest.fixture(scope="session")

@@ -12,19 +12,18 @@ import numpy as np
 import pytest
 from scipy.special import kv
 
-from anharm2d import (
+from anharm2d import cli
+from anharm2d.closed_form import excited_solve, ground_radial_eval
+from anharm2d.numeric import (
     assemble,
     build_grid,
     convergence_study,
-    excited_solve,
-    ground_radial_eval,
     lowest_eigenvalues,
     node_count,
     overlap,
     quadrature,
+    richardson,
 )
-from anharm2d import cli
-from anharm2d.numeric import richardson
 from tests.test_closed_form import rel_excited_residual, rel_ground_residual
 
 

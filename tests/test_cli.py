@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from anharm2d import cli
+from anharm2d.closed_form import PotentialParams, SignBranch, ground_state, radial_eval
 from anharm2d.numeric import ConvergenceError, VerificationReport
 
 
@@ -96,6 +97,18 @@ class TestEval:
         r, v = parse_csv(out)
         assert len(r) == 50
 
+    def test_plus_branch_inferred_from_b(self, capsys):
+        # b = 4 puts (a, c, m) = (1, 4, 0) on the ground surface's PLUS branch, kappa = 2.5
+        code, out, _ = run(
+            capsys, "eval", "--state", "ground", "--a", "1", "--c", "4", "--b", "4", "--m", "0",
+            "--r-min", "0.5", "--r-max", "3", "--samples", "200",
+        )
+        assert code == 0
+        params = PotentialParams(a=1.0, b=4.0, c=4.0)
+        expected = radial_eval(ground_state(params, 0, SignBranch.PLUS), np.linspace(0.5, 3.0, 200))
+        got = [line.split(",")[1] for line in out.strip().split("\n")[1:]]
+        assert got == [format(float(v), ".9g") for v in expected]
+
     def test_partial_explicit_params_exit_2(self, capsys):
         code, _, _ = run(capsys, "eval", "--state", "ground", "--a", "1", "--c", "4", "--m", "0")
         assert code == 2
@@ -131,6 +144,25 @@ class TestEval:
         _, out1, _ = run(capsys, "eval", "--a", "1", "--m", "0", "--samples", "100")
         _, out2, _ = run(capsys, "eval", "--a", "1", "--m", "0", "--samples", "100")
         assert out1 == out2
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("a", ["solve", "--a", "inf"]),
+            ("a", ["verify", "--a", "nan", "--grid-n", "64"]),
+            ("a", ["eval", "--a", "inf", "--c", "4", "--b", "-12"]),
+            ("a", ["normalize", "--state", "excited", "--a=-inf", "--c", "4", "--b", "-12"]),
+            ("c", ["eval", "--a", "1", "--c", "inf", "--b", "-12"]),
+            ("b", ["normalize", "--a", "1", "--c", "4", "--b", "nan"]),
+        ],
+        ids=["solve-a", "verify-a", "eval-a", "normalize-a", "eval-c", "normalize-b"],
+    )
+    def test_names_the_parameter_and_exits_2(self, capsys, name, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert f"error: {name} must be finite" in err
 
 
 class TestVerifyCommand:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anharm2d import (
+from anharm2d.closed_form import (
     Level,
     PotentialParams,
     SignBranch,
@@ -15,6 +15,7 @@ from anharm2d import (
     excited_radial_eval,
     excited_residual,
     excited_solve,
+    excited_state,
     ground_constraint_b,
     ground_constraint_residual,
     ground_energy,
@@ -24,7 +25,6 @@ from anharm2d import (
     ground_residual,
     ground_state,
 )
-from anharm2d.closed_form import excited_state
 
 LOG_RADII = np.logspace(-1, 1, 100)
 

@@ -5,24 +5,23 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import kv
 
-from anharm2d import (
+from anharm2d.closed_form import PotentialParams, excited_solve, ground_radial_eval
+from anharm2d.numeric import (
     ConvergenceError,
-    PotentialParams,
+    DiscreteHamiltonian,
     RadialGrid,
     assemble,
     build_grid,
     convergence_study,
-    excited_solve,
-    ground_radial_eval,
     lowest_eigenvalues,
     node_count,
     normalization_constant,
     overlap,
     quadrature,
+    richardson,
     sturm_count,
     verify,
 )
-from anharm2d.numeric import DiscreteHamiltonian, richardson
 
 
 def bessel_norm_integral(a: float, c: float, kappa: float) -> float:
@@ -250,7 +249,7 @@ class TestNormalizationAndOverlap:
 
 
 def _eval_excited(sec3, r):
-    from anharm2d import excited_radial_eval
+    from anharm2d.closed_form import excited_radial_eval
 
     return excited_radial_eval(sec3.excited, r)
 
@@ -332,7 +331,7 @@ class TestVerify:
         assert report.passed
 
     def test_unsolvable_m(self):
-        from anharm2d import SolvabilityError
+        from anharm2d.closed_form import SolvabilityError
 
         with pytest.raises(SolvabilityError):
             verify(1.0, 3, 1000)
