@@ -7,7 +7,9 @@ Exit codes: 0 ok, 2 invalid input, 3 constraint or solvability violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -33,6 +35,11 @@ EXIT_INVALID = 2
 EXIT_CONSTRAINT = 3
 EXIT_CONVERGENCE = 4
 EXIT_VERIFY_FAILED = 5
+
+# argparse reads an exponent-form negative such as -1.2e-05 as an option of
+# its own, so main joins each of these options with a float value that
+# follows it ("--b=-1.2e-05") before parsing
+FLOAT_OPTIONS = ("--a", "--b", "--c", "--r-min", "--r-max")
 
 
 def _resolve_state(args) -> tuple[ClosedFormState, PotentialParams]:
@@ -80,6 +87,8 @@ def cmd_eval(args) -> int:
     grid = build_grid(params, max(args.samples, 16))
     r_min = grid.r_min if args.r_min is None else args.r_min
     r_max = grid.r_max if args.r_max is None else args.r_max
+    if not (math.isfinite(r_min) and math.isfinite(r_max)):
+        raise ValueError(f"--r-min and --r-max must be finite, got [{r_min}, {r_max}]")
     if not (0.0 < r_min < r_max):
         raise ValueError(f"need 0 < r_min < r_max, got [{r_min}, {r_max}]")
     if args.samples < 2:
@@ -109,6 +118,7 @@ def cmd_normalize(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built on the first call: a build costs ~15 parses
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anharm2d",
@@ -127,7 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="joint closed-form configuration for given a, m")
     common(p)
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("eval", help="emit a wavefunction curve as CSV")
     common(p, with_state=True)
@@ -135,25 +144,42 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-min", type=float, default=None)
     p.add_argument("--r-max", type=float, default=None)
     p.add_argument("--normalize", action="store_true")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", help="numerical cross-check, JSON report")
     common(p)
     p.add_argument("--grid-n", type=int, default=4000)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("normalize", help="normalization integral and constant")
     common(p, with_state=True)
-    p.set_defaults(func=cmd_normalize)
 
     return parser
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def _join_float_values(argv: list) -> list:
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in FLOAT_OPTIONS and _is_float(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
+def _is_float(text: str) -> bool:
     try:
-        return args.func(args)
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_join_float_values(argv))
+    try:
+        # the cmd_* function is looked up now, not when the parser was built,
+        # so that one replaced on the module (by a test or a tracer) is called
+        return globals()[f"cmd_{args.command}"](args)
     except (ConvergenceError, ValueError) as exc:  # SolvabilityError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, SolvabilityError):

@@ -285,20 +285,6 @@ def radial_eval(state: ClosedFormState, r):
         return _like(rr, np.where(t > UNDERFLOW_LOG, pref * np.exp(t), 0.0))
 
 
-def ground_radial_eval(state: ClosedFormState, r):
-    """radial_eval of a ground state; ValueError for an excited one."""
-    if state.level is not Level.GROUND:
-        raise ValueError("state is not a ground state")
-    return radial_eval(state, r)
-
-
-def excited_radial_eval(state: ClosedFormState, r):
-    """radial_eval of an excited state; ValueError for a ground one."""
-    if state.level is not Level.EXCITED:
-        raise ValueError("state is not an excited state")
-    return radial_eval(state, r)
-
-
 def eigen_residual(state: ClosedFormState, params: PotentialParams, m: int, r):
     """Node-safe eigen-residual of either level, R = f exp(p):
 
@@ -319,9 +305,6 @@ def eigen_residual(state: ClosedFormState, params: PotentialParams, m: int, r):
     f2 = 2.0 * state.poly_c2 + 6.0 * state.poly_cm2 * x**-4
     bracket = p2 + p1**2 + state.energy - params.evaluate(x) - centrifugal_coefficient(m) / x**2
     return _like(rr, f * bracket + f2 + 2.0 * p1 * f1)
-
-
-ground_residual = excited_residual = eigen_residual
 
 
 # ---------------------------------------------------------------------------

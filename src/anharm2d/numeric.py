@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -77,14 +77,14 @@ class RadialGrid:
         return self.r_min + self.h * np.arange(1, self.n + 1)
 
 
-def build_grid(params: PotentialParams, n: int, threshold: float | None = None) -> RadialGrid:
+def build_grid(params: PotentialParams, n: int) -> RadialGrid:
     """Grid truncated where both exact-state tails are below exp(-T).
 
     The inner tail goes like exp(-sqrt(c)/(2 r^2)) and the outer like
     exp(-sqrt(a) r^2 / 2), giving r_min = sqrt(sqrt(c)/(2T)) and
     r_max = sqrt(2T/sqrt(a)).
     """
-    t = tail_threshold() if threshold is None else threshold
+    t = tail_threshold()
     r_min = math.sqrt(math.sqrt(params.c) / (2.0 * t))
     r_max = math.sqrt(2.0 * t / math.sqrt(params.a))
     return RadialGrid(r_min=r_min, r_max=r_max, n=n)
@@ -364,19 +364,7 @@ class VerificationReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "exact_energies": list(self.exact_energies),
-            "numeric_energies": list(self.numeric_energies),
-            "abs_errors": list(self.abs_errors),
-            "node_counts": list(self.node_counts),
-            "overlap_01": self.overlap_01,
-            "norm_constants": list(self.norm_constants),
-            "convergence_order": self.convergence_order,
-            "grid": {"r_min": self.grid.r_min, "r_max": self.grid.r_max, "n": self.grid.n},
-            "params": {"a": self.params.a, "b": self.params.b, "c": self.params.c},
-            "m": self.m,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def verify(a: float, m: int, n: int = 4000) -> VerificationReport:
@@ -384,13 +372,16 @@ def verify(a: float, m: int, n: int = 4000) -> VerificationReport:
 
     Solves the closed form, discretizes, extracts the two lowest eigenpairs,
     counts nodes, measures the ground/excited overlap and normalization
-    constants, and fits the h^2 error model across {n/4, n/2, n}.  The report
-    fails if any |E_hat - E| exceeds 10x the fitted model prediction, the
-    node counts differ from (0, 1), or the overlap exceeds 1e-8.
+    constants, and fits the h^2 error model across {n/4, n/2, n}; n >= 64
+    keeps the coarsest of those grids at its 16-point minimum or above.  The
+    report fails if any |E_hat - E| exceeds 10x the fitted model prediction,
+    the node counts differ from (0, 1), or the overlap exceeds 1e-8.
     """
+    if n < 64:
+        raise ValueError(f"verify needs n >= 64 grid points (its coarsest grid has n // 4), got {n}")
     joint = excited_solve(a, m)
     exact = (joint.e0, joint.e1)
-    hs, errs, spectrum = _error_table(joint.params, m, exact, [max(16, n // 4), max(16, n // 2), n])
+    hs, errs, spectrum = _error_table(joint.params, m, exact, [n // 4, n // 2, n])
     order = _order(hs, errs[0])
     # least-squares fit of err = C h^2, one constant per level
     c = np.sum(errs * hs**2, axis=1) / np.sum(hs**4)

@@ -13,7 +13,7 @@ import pytest
 from scipy.special import kv
 
 from anharm2d import cli
-from anharm2d.closed_form import excited_solve, ground_radial_eval
+from anharm2d.closed_form import excited_solve, radial_eval
 from anharm2d.numeric import (
     assemble,
     build_grid,
@@ -131,7 +131,7 @@ def test_criterion_5_normalization_oracle(capsys):
     joint = excited_solve(1.0, 0)
     exact = kv(1.0, 2.0 * math.sqrt(2.0)) / math.sqrt(2.0)
     grid = build_grid(joint.params, 4000)
-    got = quadrature(lambda r: ground_radial_eval(joint.ground, r) ** 2, grid)
+    got = quadrature(lambda r: radial_eval(joint.ground, r) ** 2, grid)
     assert got == pytest.approx(exact, rel=1e-8)
     with capsys.disabled():
         _announce(5, f"quadrature {got:.12f} vs Bessel-K closed form {exact:.12f}")

@@ -120,6 +120,21 @@ class TestEval:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("option, value", [("--r-max", "inf"), ("--r-min", "nan")])
+    def test_non_finite_range_exits_2(self, capsys, option, value):
+        code, out, err = run(capsys, "eval", "--a", "1", option, value, "--samples", "4")
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in err
+
+    def test_exponent_negative_after_a_space(self, capsys):
+        # solve --a 1e12 prints "b": -1.2e-05, which argparse alone takes for an option
+        argv = ["eval", "--state", "ground", "--a", "1e12", "--c", "4e-12", "--samples", "3"]
+        code, spaced, _ = run(capsys, *argv, "--b", "-1.2e-05")
+        assert code == 0
+        _, joined, _ = run(capsys, *argv, "--b=-1.2e-05")
+        assert spaced == joined
+
     def test_normalized_output(self, capsys):
         _, raw, _ = run(capsys, "eval", "--a", "1", "--m", "0", "--samples", "200")
         _, normed, _ = run(capsys, "eval", "--a", "1", "--m", "0", "--samples", "200", "--normalize")
@@ -180,6 +195,14 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", "--a", "-1", "--m", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("n", ["16", "63"])
+    def test_grid_below_minimum_exits_2(self, capsys, n):
+        # n // 4 must be a legal grid (16 points); smaller n used to collapse all three grids
+        code, out, err = run(capsys, "verify", "--a", "1", "--grid-n", n)
+        assert code == 2
+        assert out == ""
+        assert "64" in err
+
     def test_overflowing_operator_exits_with_message(self, capsys):
         # at a = 1e300 the discretized operator overflows double precision
         code, _, err = run(capsys, "verify", "--a", "1e300", "--grid-n", "64")
@@ -230,6 +253,16 @@ class TestNormalize:
         monkeypatch.setattr(cli, "normalization_constant", broken)
         code, _, _ = run(capsys, "normalize", "--state", "ground", "--a", "1", "--m", "0")
         assert code == 4
+
+
+class TestMain:
+    def test_parser_built_once_and_dispatch_is_late(self, capsys, monkeypatch):
+        run(capsys, "solve", "--a", "1")
+        assert cli._build_parser() is cli._build_parser()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_solve", lambda args: seen.append(args.a) or 0)
+        code, _, _ = run(capsys, "solve", "--a", "2")
+        assert (code, seen) == (0, [2.0])
 
 
 class TestPipelines:

@@ -10,10 +10,9 @@ from anharm2d.closed_form import (
     PotentialParams,
     SignBranch,
     SolvabilityError,
+    eigen_residual,
     excited_energy,
     excited_kappa1,
-    excited_radial_eval,
-    excited_residual,
     excited_solve,
     excited_state,
     ground_constraint_b,
@@ -21,9 +20,8 @@ from anharm2d.closed_form import (
     ground_energy,
     ground_kappa,
     ground_peak_radius,
-    ground_radial_eval,
-    ground_residual,
     ground_state,
+    radial_eval,
 )
 
 LOG_RADII = np.logspace(-1, 1, 100)
@@ -33,7 +31,7 @@ def rel_ground_residual(state, params, m, r):
     """|residual| scaled by the magnitude of the terms that must cancel."""
     r = np.asarray(r, dtype=float)
     scale = np.maximum(abs(state.energy), np.abs(params.evaluate(r)) + abs(m * m - 0.25) / r**2)
-    return np.abs(ground_residual(state, params, m, r)) / scale
+    return np.abs(eigen_residual(state, params, m, r)) / scale
 
 
 def rel_excited_residual(state, params, m, r):
@@ -44,7 +42,7 @@ def rel_excited_residual(state, params, m, r):
     p1 = np.abs(state.alpha * r) + np.abs(state.beta * r**-3) + np.abs(state.kappa / r)
     bracket = abs(state.energy) + np.abs(params.evaluate(r)) + abs(m * m - 0.25) / r**2
     scale = f * bracket + f2 + 2 * p1 * f1
-    return np.abs(excited_residual(state, params, m, r)) / scale
+    return np.abs(eigen_residual(state, params, m, r)) / scale
 
 
 class TestPotentialParams:
@@ -136,32 +134,32 @@ class TestGroundEnergy:
 
 class TestGroundEval:
     def test_at_unit_radius(self, sec3):
-        assert ground_radial_eval(sec3.ground, 1.0) == pytest.approx(math.exp(-1.5), rel=1e-14)
+        assert radial_eval(sec3.ground, 1.0) == pytest.approx(math.exp(-1.5), rel=1e-14)
 
     def test_origin_limit(self, sec3):
-        assert ground_radial_eval(sec3.ground, 1e-300) == 0.0
-        assert ground_radial_eval(sec3.ground, 1e-8) == 0.0
+        assert radial_eval(sec3.ground, 1e-300) == 0.0
+        assert radial_eval(sec3.ground, 1e-8) == 0.0
 
     def test_infinity_limit(self, sec3):
-        assert ground_radial_eval(sec3.ground, 1e6) == 0.0
+        assert radial_eval(sec3.ground, 1e6) == 0.0
 
     def test_rejects_nonpositive_radius(self, sec3):
         with pytest.raises(ValueError):
-            ground_radial_eval(sec3.ground, 0.0)
+            radial_eval(sec3.ground, 0.0)
         with pytest.raises(ValueError):
-            ground_radial_eval(sec3.ground, -1.0)
+            radial_eval(sec3.ground, -1.0)
 
     def test_vectorized(self, sec3):
         r = np.array([0.5, 1.0, 2.0])
-        vals = ground_radial_eval(sec3.ground, r)
+        vals = radial_eval(sec3.ground, r)
         assert vals.shape == (3,)
         assert np.all(np.isfinite(vals))
 
     @given(log_r=st.floats(-290.0, 290.0))
     def test_never_nan_or_inf(self, sec3, log_r):
         r = 10.0**log_r
-        assert np.isfinite(ground_radial_eval(sec3.ground, r))
-        assert np.isfinite(excited_radial_eval(sec3.excited, r))
+        assert np.isfinite(radial_eval(sec3.ground, r))
+        assert np.isfinite(radial_eval(sec3.excited, r))
 
 
 class TestGroundResidual:
@@ -171,7 +169,7 @@ class TestGroundResidual:
 
     def test_broken_constraint_is_nonzero(self, sec3):
         bad = PotentialParams(1.0, 0.0, 4.0)
-        assert abs(ground_residual(sec3.ground, bad, 0, 1.0)) > 1.0
+        assert abs(eigen_residual(sec3.ground, bad, 0, 1.0)) > 1.0
 
     def test_both_branches_along_log_radii(self):
         for branch in SignBranch:
@@ -204,13 +202,13 @@ class TestExcited:
 
     def test_eval_node(self, sec3):
         node = (sec3.params.c / sec3.params.a) ** 0.125
-        assert excited_radial_eval(sec3.excited, node) == pytest.approx(0.0, abs=1e-14)
+        assert radial_eval(sec3.excited, node) == pytest.approx(0.0, abs=1e-14)
 
     def test_eval_origin(self, sec3):
-        assert excited_radial_eval(sec3.excited, 1e-200) == 0.0
+        assert radial_eval(sec3.excited, 1e-200) == 0.0
 
     def test_eval_unit_radius(self, sec3):
-        assert excited_radial_eval(sec3.excited, 1.0) == pytest.approx(-math.exp(-1.5), rel=1e-14)
+        assert radial_eval(sec3.excited, 1.0) == pytest.approx(-math.exp(-1.5), rel=1e-14)
 
     def test_residual_sec3(self, sec3):
         assert rel_excited_residual(sec3.excited, sec3.params, 0, 1.0) <= 1e-12
@@ -219,7 +217,7 @@ class TestExcited:
 
     def test_residual_perturbed_b(self, sec3):
         bad = PotentialParams(1.0, -11.9, 4.0)
-        assert abs(excited_residual(sec3.excited, bad, 0, 1.0)) > 1e-3
+        assert abs(eigen_residual(sec3.excited, bad, 0, 1.0)) > 1e-3
 
     def test_prefactor_has_single_positive_root(self, sec3):
         r = np.linspace(0.05, 6.0, 5000)
@@ -306,7 +304,7 @@ class TestGroundPeakRadius:
 
     def test_grid_scan_oracle(self, sec3):
         r = np.linspace(0.3, 3.0, 20001)
-        vals = np.abs(ground_radial_eval(sec3.ground, r))
+        vals = np.abs(radial_eval(sec3.ground, r))
         argmax = r[np.argmax(vals)]
         assert abs(argmax - ground_peak_radius(sec3.ground)) <= r[1] - r[0]
 
@@ -332,12 +330,6 @@ class TestStateConstruction:
                 kappa=0.5, alpha=1.0, beta=-1.0, poly_c2=0.0, poly_c0=1.0,
                 poly_cm2=0.0, energy=0.0, level=Level.GROUND,
             )
-
-    def test_excited_state_mismatched_eval(self, sec3):
-        with pytest.raises(ValueError):
-            excited_radial_eval(sec3.ground, 1.0)
-        with pytest.raises(ValueError):
-            ground_radial_eval(sec3.excited, 1.0)
 
     def test_excited_state_from_params(self, sec3):
         x = excited_state(PotentialParams(1.0, -12.0, 4.0))

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import kv
 
-from anharm2d.closed_form import PotentialParams, excited_solve, ground_radial_eval
+from anharm2d.closed_form import PotentialParams, excited_solve, radial_eval
 from anharm2d.numeric import (
     ConvergenceError,
     DiscreteHamiltonian,
@@ -196,14 +196,14 @@ class TestQuadrature:
         assert got == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-9)
 
     def test_bessel_oracle_sec3(self, sec3, sec3_grid):
-        got = quadrature(lambda r: ground_radial_eval(sec3.ground, r) ** 2, sec3_grid)
+        got = quadrature(lambda r: radial_eval(sec3.ground, r) ** 2, sec3_grid)
         exact = bessel_norm_integral(1.0, 4.0, -1.5)
         assert got == pytest.approx(exact, rel=1e-8)
 
     def test_bessel_oracle_other_family(self):
         j = excited_solve(4.0, 1)
         grid = build_grid(j.params, 100)
-        got = quadrature(lambda r: ground_radial_eval(j.ground, r) ** 2, grid)
+        got = quadrature(lambda r: radial_eval(j.ground, r) ** 2, grid)
         exact = bessel_norm_integral(j.params.a, j.params.c, j.kappa)
         assert got == pytest.approx(exact, rel=1e-8)
 
@@ -249,9 +249,7 @@ class TestNormalizationAndOverlap:
 
 
 def _eval_excited(sec3, r):
-    from anharm2d.closed_form import excited_radial_eval
-
-    return excited_radial_eval(sec3.excited, r)
+    return radial_eval(sec3.excited, r)
 
 
 class TestConvergence:
@@ -278,7 +276,7 @@ class TestConvergence:
         for n in (500, 1000):
             g = build_grid(sec3.params, n)
             ham = assemble(sec3.params, 0, g)
-            rvec = ground_radial_eval(sec3.ground, g.points())
+            rvec = radial_eval(sec3.ground, g.points())
             res = ham.matvec(rvec) - sec3.e0 * rvec
             norms.append(np.max(np.abs(res)) / np.max(np.abs(rvec)))
         assert norms[0] / norms[1] == pytest.approx(4.0, rel=0.15)
@@ -292,13 +290,14 @@ class TestConvergence:
         extrapolated = richardson(estimates[0][0], estimates[0][1], estimates[1][0], estimates[1][1])
         assert abs(extrapolated + 2.0) < 0.01 * abs(estimates[1][0] + 2.0)
 
-    def test_truncation_negligible_vs_discretization(self, sec3):
+    def test_truncation_negligible_vs_discretization(self, sec3, monkeypatch):
         # Richardson-extrapolated energies isolate the truncation error:
         # doubling T from 45 to 90 moves them by < 1e-8
         def extrapolated(threshold):
+            monkeypatch.setenv("ANHARM_TAIL_THRESHOLD", str(threshold))
             out = []
             for n in (2000, 4000):
-                g = build_grid(sec3.params, n, threshold=threshold)
+                g = build_grid(sec3.params, n)
                 result = lowest_eigenvalues(assemble(sec3.params, 0, g), 2)
                 out.append((result.eigenvalues, g.h))
             (e1, h1), (e2, h2) = out
