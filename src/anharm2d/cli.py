@@ -43,15 +43,14 @@ FLOAT_OPTIONS = ("--a", "--b", "--c", "--r-min", "--r-max")
 
 
 def _resolve_state(args) -> tuple[ClosedFormState, PotentialParams]:
-    """Build the requested closed-form state from either the joint solve
-    (only --a given) or explicit --c/--b, gated by constrained_state."""
+    """Build the requested closed-form state, gated by constrained_state, from
+    the parameters of either the joint solve (only --a given) or explicit --c/--b."""
     if (args.c is None) != (args.b is None):
         raise ValueError("--c and --b must be given together")
     if args.c is None:
-        joint = excited_solve(args.a, args.m)
-        state = joint.ground if args.state == "ground" else joint.excited
-        return state, joint.params
-    params = PotentialParams(a=args.a, b=args.b, c=args.c)
+        params = excited_solve(args.a, args.m).params
+    else:
+        params = PotentialParams(a=args.a, b=args.b, c=args.c)
     return constrained_state(params, args.m, Level(args.state)), params
 
 
@@ -126,7 +125,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_state=False):
+    def command(name, summary, with_state=False):
+        # no prefix matching: the full names in FLOAT_OPTIONS are the only spellings
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--a", type=float, required=True, help="harmonic strength (> 0)")
         p.add_argument("--m", type=int, default=0, help="angular momentum (default 0)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -134,23 +135,20 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--state", choices=["ground", "excited"], default="ground")
             p.add_argument("--c", type=float, default=None, help="explicit r^-6 coefficient")
             p.add_argument("--b", type=float, default=None, help="explicit r^-4 coefficient")
+        return p
 
-    p = sub.add_parser("solve", help="joint closed-form configuration for given a, m")
-    common(p)
+    command("solve", "joint closed-form configuration for given a, m")
 
-    p = sub.add_parser("eval", help="emit a wavefunction curve as CSV")
-    common(p, with_state=True)
+    p = command("eval", "emit a wavefunction curve as CSV", with_state=True)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--r-min", type=float, default=None)
     p.add_argument("--r-max", type=float, default=None)
     p.add_argument("--normalize", action="store_true")
 
-    p = sub.add_parser("verify", help="numerical cross-check, JSON report")
-    common(p)
+    p = command("verify", "numerical cross-check, JSON report")
     p.add_argument("--grid-n", type=int, default=4000)
 
-    p = sub.add_parser("normalize", help="normalization integral and constant")
-    common(p, with_state=True)
+    command("normalize", "normalization integral and constant", with_state=True)
 
     return parser
 

@@ -19,7 +19,7 @@ m^2 + 2 sqrt(ac) = 4, which pins c = ((4 - m^2)/2)^2 / a and forces m in
 
 Both states share one form (ClosedFormState), so one evaluator, radial_eval,
 and one node-safe eigen_residual serve both levels.  constrained_state is the
-solvability gate for explicit (a, b, c, m): the state, or ConstraintViolation.
+solvability gate for any (a, b, c, m): the state, or ConstraintViolation.
 
 All functions here are pure and accept scalars or numpy arrays for r.
 """
@@ -176,34 +176,29 @@ def ground_constraint_b(a: float, c: float, m: int, branch: SignBranch) -> float
 
 
 def _ground_constraint_terms(params: PotentialParams, m: int) -> tuple[float, float]:
-    """The two sides (b + 2 sqrt(c))^2 and 4c (m^2 + 2 sqrt(ac)) of the ground constraint."""
+    """The two sides (b + 2 sqrt(c))^2 and 4c (m^2 + 2 sqrt(ac)) of the ground
+    constraint, each divided by 16.  On the joint surface both sides are 16c;
+    the division, exact for a power of two, keeps them finite there for every c."""
     a, b, c = params.a, params.b, params.c
     centrifugal_coefficient(m)
-    return (b + 2.0 * math.sqrt(c)) ** 2, 4.0 * c * (m * m + 2.0 * math.sqrt(a * c))
+    # x * x overflows to inf where the float x ** 2 raises OverflowError
+    x = 0.25 * (b + 2.0 * math.sqrt(c))
+    return x * x, 0.25 * c * (m * m + 2.0 * math.sqrt(a * c))
 
 
 def ground_constraint_residual(params: PotentialParams, m: int) -> float:
     """(b + 2 sqrt(c))^2 - 4c (m^2 + 2 sqrt(ac)); zero iff b sits on the
     exact-solvability surface (either kappa branch)."""
     lhs, rhs = _ground_constraint_terms(params, m)
-    return lhs - rhs
-
-
-def ground_energy(params: PotentialParams) -> float:
-    """Ground-state energy sqrt(a) * (4 + b/sqrt(c)).
-
-    Meaningful as an eigenvalue only when ground_constraint_residual
-    vanishes; the formula itself is evaluated unconditionally.
-    """
-    return math.sqrt(params.a) * (4.0 + params.b / math.sqrt(params.c))
+    return 16.0 * (lhs - rhs)
 
 
 def ground_state(params: PotentialParams, m: int, branch: SignBranch) -> ClosedFormState:
     """Closed-form ground state for constrained parameters on `branch`."""
     kappa = ground_kappa(m, params.a, params.c, branch)
     sqrt_a = math.sqrt(params.a)
-    # E = -(2 kappa + 1) alpha with alpha = -sqrt(a); coincides with
-    # ground_energy when b is branch-matched.
+    # E = -(2 kappa + 1) alpha with alpha = -sqrt(a); on the constraint
+    # surface this equals sqrt(a) (4 + b/sqrt(c)) for the branch-matched b.
     return ClosedFormState(
         kappa=kappa,
         alpha=-sqrt_a,
@@ -231,32 +226,21 @@ def ground_peak_radius(state: ClosedFormState) -> float:
 # First excited state
 # ---------------------------------------------------------------------------
 
-def excited_kappa1(b: float, c: float) -> float:
-    """Excited-state exponent kappa1 = (b + 7 sqrt(c)) / (2 sqrt(c))."""
-    if not c > 0.0:
-        raise ValueError("c must be > 0")
-    sqrt_c = math.sqrt(c)
-    return (b + 7.0 * sqrt_c) / (2.0 * sqrt_c)
-
-
-def excited_energy(params: PotentialParams) -> float:
-    """First-excited energy sqrt(a) * (12 + b/sqrt(c))."""
-    return math.sqrt(params.a) * (12.0 + params.b / math.sqrt(params.c))
-
-
 def excited_state(params: PotentialParams) -> ClosedFormState:
     """Closed-form first excited state; exact only when b = -6 sqrt(c) and
-    m^2 + 2 sqrt(ac) = 4."""
+    m^2 + 2 sqrt(ac) = 4.  kappa1 = 1/2 + (b + 6 sqrt(c))/(2 sqrt(c)) and
+    E1 = (2 kappa1 + 5) sqrt(a) are then exactly 1/2 and 6 sqrt(a)."""
     sqrt_a = math.sqrt(params.a)
     sqrt_c = math.sqrt(params.c)
+    kappa1 = 0.5 + (params.b + 6.0 * sqrt_c) / (2.0 * sqrt_c)
     return ClosedFormState(
-        kappa=excited_kappa1(params.b, params.c),
+        kappa=kappa1,
         alpha=-sqrt_a,
         beta=-sqrt_c,
         poly_c2=sqrt_a,
         poly_c0=0.0,
         poly_cm2=-sqrt_c,
-        energy=excited_energy(params),
+        energy=(2.0 * kappa1 + 5.0) * sqrt_a,
         level=Level.EXCITED,
     )
 
@@ -316,22 +300,22 @@ def constrained_state(params: PotentialParams, m: int, level: Level) -> ClosedFo
 
     Raises ConstraintViolation unless (params, m) satisfy that level's
     exact-solvability conditions to CONSTRAINT_REL_TOL, relative to the
-    size of the terms that must cancel.  A ground state's kappa branch is
-    inferred from b.
+    size of the terms that must cancel, or when those terms overflow.  A
+    ground state's kappa branch is the sign of b + 2 sqrt(c), since
+    b = -2 sqrt(c) +- sqrt(4c (m^2 + 2 sqrt(ac))).
     """
     a, b, c = params.a, params.b, params.c
     sqrt_c = math.sqrt(c)
     if level is Level.GROUND:
         lhs, rhs = _ground_constraint_terms(params, m)
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+            raise ConstraintViolation("the ground-state constraint terms overflow")
         res = lhs - rhs
-        if abs(res) > CONSTRAINT_REL_TOL * max(1.0, lhs, rhs):
+        if abs(res) > CONSTRAINT_REL_TOL * max(1.0 / 16.0, lhs, rhs):
             raise ConstraintViolation(
-                f"parameters violate the ground-state constraint: residual {res:.3e}"
+                f"parameters violate the ground-state constraint: residual {16.0 * res:.3e}"
             )
-        # infer the kappa branch b was generated from
-        kappa = (b + 3.0 * sqrt_c) / (2.0 * sqrt_c)
-        plus = ground_kappa(m, a, c, SignBranch.PLUS)
-        branch = SignBranch.PLUS if abs(kappa - plus) < 1e-6 * max(1.0, abs(plus)) else SignBranch.MINUS
+        branch = SignBranch.PLUS if b + 2.0 * sqrt_c >= 0.0 else SignBranch.MINUS
         return ground_state(params, m, branch)
     if abs(b + 6.0 * sqrt_c) > CONSTRAINT_REL_TOL * max(1.0, 6.0 * sqrt_c):
         raise ConstraintViolation(f"excited state requires b = -6*sqrt(c); got b = {b}")
@@ -386,22 +370,12 @@ def excited_solve(a: float, m: int) -> JointSolution:
         )
     sqrt_ac = (4.0 - m * m) / 2.0
     c = sqrt_ac**2 / a
+    if math.isinf(c):
+        raise ValueError(f"a is too small: c = {sqrt_ac**2}/a overflows at a = {a}")
     b = -6.0 * math.sqrt(c)
     params = PotentialParams(a=a, b=b, c=c)
     g = ground_state(params, m, SignBranch.MINUS)
-    # kappa1 = 1/2 and E1 = 6 sqrt(a) hold exactly here; build the state
-    # directly instead of round-tripping through b/sqrt(c)
-    sqrt_a = math.sqrt(a)
-    x = ClosedFormState(
-        kappa=0.5,
-        alpha=-sqrt_a,
-        beta=-math.sqrt(c),
-        poly_c2=sqrt_a,
-        poly_c0=0.0,
-        poly_cm2=-math.sqrt(c),
-        energy=6.0 * sqrt_a,
-        level=Level.EXCITED,
-    )
+    x = excited_state(params)
     return JointSolution(
         params=params,
         m=m,

@@ -24,10 +24,11 @@ import numpy as np
 
 from anharm2d.closed_form import (
     ClosedFormState,
+    Level,
     PotentialParams,
     centrifugal_coefficient,
+    constrained_state,
     excited_solve,
-    ground_energy,
     radial_eval,
 )
 
@@ -333,11 +334,12 @@ def _order(hs: np.ndarray, errs: np.ndarray) -> float:
 
 def convergence_study(params: PotentialParams, m: int, n_list) -> float:
     """Empirical order q of |E0_hat(h) - E0| ~ h^q across the resolutions,
-    with E0 the closed-form ground energy of params."""
+    with E0 the energy of constrained_state's ground state for (params, m)."""
     n_list = sorted(n_list)
     if len(n_list) < 3:
         raise ValueError("convergence study needs at least 3 resolutions")
-    hs, errs, _ = _error_table(params, m, (ground_energy(params),), n_list)
+    e0 = constrained_state(params, m, Level.GROUND).energy
+    hs, errs, _ = _error_table(params, m, (e0,), n_list)
     return _order(hs, errs[0])
 
 

@@ -50,6 +50,12 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", "--a", "-1.0", "--m", "0")
         assert code == 2
 
+    def test_a_too_small_is_named(self, capsys):
+        # c = 4/a overflows; the message used to blame the b derived from it
+        code, out, err = run(capsys, "solve", "--a", "1e-320")
+        assert (code, out) == (2, "")
+        assert "error: a is too small" in err
+
     def test_deterministic(self, capsys):
         _, out1, _ = run(capsys, "solve", "--a", "1.0", "--m", "0")
         _, out2, _ = run(capsys, "solve", "--a", "1.0", "--m", "0")
@@ -87,6 +93,21 @@ class TestEval:
         )
         assert code == 3
         assert "constraint" in err
+
+    @pytest.mark.parametrize(
+        "command, a, c, b",
+        [
+            # 4c (m^2 + 2 sqrt(ac)) overflows, which no b can match
+            ("eval", "1e-300", "1e306", "0"),
+            ("normalize", "1e-300", "1e306", "0"),
+            # (b + 2 sqrt(c))^2 overflows
+            ("normalize", "1", "4", "1e300"),
+        ],
+    )
+    def test_overflowing_constraint_terms_exit_3(self, capsys, command, a, c, b):
+        code, out, err = run(capsys, command, "--state", "ground", "--a", a, "--c", c, "--b", b)
+        assert (code, out) == (3, "")
+        assert "constraint terms overflow" in err
 
     def test_explicit_valid_params_pass_gate(self, capsys):
         code, out, _ = run(
@@ -126,6 +147,12 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert "must be finite" in err
+
+    @pytest.mark.parametrize("value", ["3", "-1e1"])
+    def test_abbreviated_option_exits_2(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "eval", "--a", "1", "--r-ma", value, "--samples", "3")
+        assert exc.value.code == 2
 
     def test_exponent_negative_after_a_space(self, capsys):
         # solve --a 1e12 prints "b": -1.2e-05, which argparse alone takes for an option
@@ -266,6 +293,16 @@ class TestMain:
 
 
 class TestPipelines:
+    @pytest.mark.parametrize("a, m", [(0.3, 1), (2.0, 0), (7.0, 0), (7.0, 1), (1e6, 1)])
+    def test_solve_parameters_reproduce_joint_excited_normalize(self, capsys, a, m):
+        _, out, _ = run(capsys, "solve", "--a", str(a), "--m", str(m))
+        doc = json.loads(out)
+        argv = ["normalize", "--state", "excited", "--a", str(a), "--m", str(m)]
+        _, joint, _ = run(capsys, *argv)
+        code, explicit, _ = run(capsys, *argv, "--c", repr(doc["c"]), "--b", repr(doc["b"]))
+        assert code == 0
+        assert explicit == joint
+
     def test_solve_output_feeds_eval_gate(self, capsys):
         _, out, _ = run(capsys, "solve", "--a", "2.5", "--m", "1")
         doc = json.loads(out)

@@ -10,14 +10,12 @@ from anharm2d.closed_form import (
     PotentialParams,
     SignBranch,
     SolvabilityError,
+    constrained_state,
     eigen_residual,
-    excited_energy,
-    excited_kappa1,
     excited_solve,
     excited_state,
     ground_constraint_b,
     ground_constraint_residual,
-    ground_energy,
     ground_kappa,
     ground_peak_radius,
     ground_state,
@@ -108,6 +106,13 @@ class TestGroundConstraint:
             0.0, abs=1e-12
         )
 
+    @pytest.mark.parametrize("branch", list(SignBranch))
+    def test_gate_infers_branch_of_nearly_equal_roots(self, branch):
+        # kappa = 1/2 +- 4.5e-7: the two roots lie within 1e-6 of each other
+        b = ground_constraint_b(1.0, 1e-26, 0, branch)
+        params = PotentialParams(1.0, b, 1e-26)
+        assert constrained_state(params, 0, Level.GROUND) == ground_state(params, 0, branch)
+
     @given(
         a=st.floats(0.1, 10.0),
         c=st.floats(0.1, 10.0),
@@ -123,13 +128,7 @@ class TestGroundConstraint:
 
 class TestGroundEnergy:
     def test_sec3(self):
-        assert ground_energy(PotentialParams(1.0, -12.0, 4.0)) == -2.0
-
-    def test_zero_b(self):
-        assert ground_energy(PotentialParams(1.0, 0.0, 1.0)) == 4.0
-
-    def test_scaled(self):
-        assert ground_energy(PotentialParams(4.0, -6.0, 9.0)) == pytest.approx(4.0)
+        assert constrained_state(PotentialParams(1.0, -12.0, 4.0), 0, Level.GROUND).energy == -2.0
 
 
 class TestGroundEval:
@@ -182,23 +181,24 @@ class TestGroundResidual:
 
 class TestExcited:
     def test_kappa1_sec3(self):
-        assert excited_kappa1(-12.0, 4.0) == 0.5
+        assert excited_state(PotentialParams(1.0, -12.0, 4.0)).kappa == 0.5
 
     def test_kappa1_zero_numerator(self):
         c = 2.3
-        assert excited_kappa1(-7.0 * math.sqrt(c), c) == pytest.approx(0.0, abs=1e-15)
+        x = excited_state(PotentialParams(1.0, -7.0 * math.sqrt(c), c))
+        assert x.kappa == pytest.approx(0.0, abs=1e-15)
 
     def test_kappa1_m1_family(self):
-        assert excited_kappa1(-9.0, 9.0 / 4.0) == pytest.approx(0.5)
+        assert excited_state(PotentialParams(1.0, -9.0, 9.0 / 4.0)).kappa == pytest.approx(0.5)
 
     def test_energy_sec3(self):
-        assert excited_energy(PotentialParams(1.0, -12.0, 4.0)) == 6.0
+        assert excited_state(PotentialParams(1.0, -12.0, 4.0)).energy == 6.0
 
     def test_energy_zero_b(self):
-        assert excited_energy(PotentialParams(1.0, 0.0, 1.0)) == 12.0
+        assert excited_state(PotentialParams(1.0, 0.0, 1.0)).energy == 12.0
 
     def test_energy_scaled(self):
-        assert excited_energy(PotentialParams(4.0, -6.0, 1.0)) == pytest.approx(12.0)
+        assert excited_state(PotentialParams(4.0, -6.0, 1.0)).energy == pytest.approx(12.0)
 
     def test_eval_node(self, sec3):
         node = (sec3.params.c / sec3.params.a) ** 0.125
@@ -253,6 +253,14 @@ class TestExcitedSolve:
     def test_rejects_nonpositive_a(self):
         with pytest.raises(ValueError):
             excited_solve(-1.0, 0)
+
+    @pytest.mark.parametrize("a", [1e-307, 0.25, 7.0, 1e6, 1e300])
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_gate_returns_the_joint_states(self, a, m):
+        # at a = 1e-307 both sides of the ground constraint, 16c, exceed the largest double
+        j = excited_solve(a, m)
+        assert constrained_state(j.params, m, Level.GROUND) == j.ground
+        assert constrained_state(j.params, m, Level.EXCITED) == j.excited
 
     @pytest.mark.parametrize("a", [0.25, 1.0, 4.0, 10.0])
     @pytest.mark.parametrize("m", [0, 1])
