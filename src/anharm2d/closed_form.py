@@ -9,7 +9,7 @@ Exact solutions exist only on a constrained parameter surface.  The ground
 state is R0 = r^kappa exp[-(sqrt(a) r^2 + sqrt(c) r^-2)/2] with
 kappa = 1/2 +- sqrt(m^2 + 2 sqrt(ac)), valid when
 
-    (b + 2 sqrt(c))^2 - 4c (m^2 + 2 sqrt(ac)) = 0,
+    b = sqrt(c) (2 kappa - 3) = -2 sqrt(c) +- 2 sqrt(c) sqrt(m^2 + 2 sqrt(ac)),
 
 and the first excited state (same m) adds the prefactor
 sqrt(a) r^2 - sqrt(c) r^-2 with its own exponent kappa1 = (b + 7 sqrt(c)) /
@@ -19,7 +19,8 @@ m^2 + 2 sqrt(ac) = 4, which pins c = ((4 - m^2)/2)^2 / a and forces m in
 
 Both states share one form (ClosedFormState), so one evaluator, radial_eval,
 and one node-safe eigen_residual serve both levels.  constrained_state is the
-solvability gate for any (a, b, c, m): the state, or ConstraintViolation.
+solvability gate for any (a, b, c, m): the state, or ConstraintViolation if
+b is not the b its level needs to CONSTRAINT_REL_TOL, relative, with no floor.
 
 All functions here are pure and accept scalars or numpy arrays for r.
 """
@@ -161,36 +162,15 @@ def ground_constraint_b(a: float, c: float, m: int, branch: SignBranch) -> float
     From 3*beta - 2*beta*kappa = b with beta = -sqrt(c) and
     kappa = 1/2 +- s, s = sqrt(m^2 + 2 sqrt(ac)):
 
-        b = sqrt(c) * (2*kappa - 3) = -2 sqrt(c) +- sqrt(4c (m^2 + 2 sqrt(ac))).
+        b = sqrt(c) * (2*kappa - 3) = -2 sqrt(c) +- 2 sqrt(c) * s.
 
-    The roots-of-the-quadratic form on the right is evaluated with the same
-    operation order as ground_constraint_residual, which keeps the residual
-    at b within a few ulps; the kappa round-trip would lose a digit.
+    The product form on the right stays finite wherever b itself is; the
+    kappa round-trip would lose a digit.
     """
     centrifugal_coefficient(m)
-    y = 4.0 * c * (m * m + 2.0 * math.sqrt(a * c))
-    root = math.sqrt(y)
-    if branch is SignBranch.MINUS:
-        root = -root
-    return -2.0 * math.sqrt(c) + root
-
-
-def _ground_constraint_terms(params: PotentialParams, m: int) -> tuple[float, float]:
-    """The two sides (b + 2 sqrt(c))^2 and 4c (m^2 + 2 sqrt(ac)) of the ground
-    constraint, each divided by 16.  On the joint surface both sides are 16c;
-    the division, exact for a power of two, keeps them finite there for every c."""
-    a, b, c = params.a, params.b, params.c
-    centrifugal_coefficient(m)
-    # x * x overflows to inf where the float x ** 2 raises OverflowError
-    x = 0.25 * (b + 2.0 * math.sqrt(c))
-    return x * x, 0.25 * c * (m * m + 2.0 * math.sqrt(a * c))
-
-
-def ground_constraint_residual(params: PotentialParams, m: int) -> float:
-    """(b + 2 sqrt(c))^2 - 4c (m^2 + 2 sqrt(ac)); zero iff b sits on the
-    exact-solvability surface (either kappa branch)."""
-    lhs, rhs = _ground_constraint_terms(params, m)
-    return 16.0 * (lhs - rhs)
+    two_sqrt_c = 2.0 * math.sqrt(c)
+    root = two_sqrt_c * math.sqrt(m * m + 2.0 * math.sqrt(a * c))
+    return -two_sqrt_c + (root if branch is SignBranch.PLUS else -root)
 
 
 def ground_state(params: PotentialParams, m: int, branch: SignBranch) -> ClosedFormState:
@@ -213,12 +193,15 @@ def ground_state(params: PotentialParams, m: int, branch: SignBranch) -> ClosedF
 
 def ground_peak_radius(state: ClosedFormState) -> float:
     """Unique stationary point of |R0|: the positive root of
-    sqrt(a) r^4 - kappa r^2 - sqrt(c) = 0."""
+    sqrt(a) r^4 - kappa r^2 - sqrt(c) = 0.  For kappa < 0 the root comes
+    from the conjugate form 2 sqrt(c) / (root - kappa), which does not cancel."""
     if state.level is not Level.GROUND:
         raise ValueError("state is not a ground state")
     sqrt_a = -state.alpha
     sqrt_c = -state.beta
-    r_sq = (state.kappa + math.sqrt(state.kappa**2 + 4.0 * sqrt_a * sqrt_c)) / (2.0 * sqrt_a)
+    kappa = state.kappa
+    root = math.sqrt(kappa**2 + 4.0 * sqrt_a * sqrt_c)
+    r_sq = 2.0 * sqrt_c / (root - kappa) if kappa < 0.0 else (kappa + root) / (2.0 * sqrt_a)
     return math.sqrt(r_sq)
 
 
@@ -298,26 +281,24 @@ def eigen_residual(state: ClosedFormState, params: PotentialParams, m: int, r):
 def constrained_state(params: PotentialParams, m: int, level: Level) -> ClosedFormState:
     """The closed-form state of `level` for explicit parameters.
 
-    Raises ConstraintViolation unless (params, m) satisfy that level's
-    exact-solvability conditions to CONSTRAINT_REL_TOL, relative to the
-    size of the terms that must cancel, or when those terms overflow.  A
-    ground state's kappa branch is the sign of b + 2 sqrt(c), since
-    b = -2 sqrt(c) +- sqrt(4c (m^2 + 2 sqrt(ac))).
+    Raises ConstraintViolation unless b equals the b its level needs to
+    CONSTRAINT_REL_TOL, with no absolute term: the ground level compares b
+    with ground_constraint_b's b for its kappa branch, relative to
+    max(|b|, |that b|, 2 sqrt(c)), or raises if that b overflows; the
+    excited level compares b + 6 sqrt(c) with 6 sqrt(c).  The ground branch
+    is the sign of b + 2 sqrt(c), which is the +- in ground_constraint_b.
     """
     a, b, c = params.a, params.b, params.c
     sqrt_c = math.sqrt(c)
     if level is Level.GROUND:
-        lhs, rhs = _ground_constraint_terms(params, m)
-        if not (math.isfinite(lhs) and math.isfinite(rhs)):
-            raise ConstraintViolation("the ground-state constraint terms overflow")
-        res = lhs - rhs
-        if abs(res) > CONSTRAINT_REL_TOL * max(1.0 / 16.0, lhs, rhs):
-            raise ConstraintViolation(
-                f"parameters violate the ground-state constraint: residual {16.0 * res:.3e}"
-            )
         branch = SignBranch.PLUS if b + 2.0 * sqrt_c >= 0.0 else SignBranch.MINUS
+        b_branch = ground_constraint_b(a, c, m, branch)
+        if not math.isfinite(b_branch):
+            raise ConstraintViolation("the ground-state constraint terms overflow")
+        if abs(b - b_branch) > CONSTRAINT_REL_TOL * max(abs(b), abs(b_branch), 2.0 * sqrt_c):
+            raise ConstraintViolation(f"ground-state constraint needs b = {b_branch!r}; got b = {b!r}")
         return ground_state(params, m, branch)
-    if abs(b + 6.0 * sqrt_c) > CONSTRAINT_REL_TOL * max(1.0, 6.0 * sqrt_c):
+    if abs(b + 6.0 * sqrt_c) > CONSTRAINT_REL_TOL * 6.0 * sqrt_c:
         raise ConstraintViolation(f"excited state requires b = -6*sqrt(c); got b = {b}")
     s = m * m + 2.0 * math.sqrt(a * c)
     if abs(s - 4.0) > CONSTRAINT_REL_TOL * 4.0:

@@ -293,17 +293,26 @@ def quadrature(f, grid: RadialGrid, abs_tol: float = 0.0) -> float:
     raise ConvergenceError("Simpson quadrature did not converge")
 
 
+def _norm_integral(state: ClosedFormState, grid: RadialGrid) -> float:
+    """Integral of |R|^2 dr over the grid's interval.  Raises ConvergenceError
+    unless it is finite and > 0, as it is not when the interval misses the state."""
+    integral = quadrature(lambda r: radial_eval(state, r) ** 2, grid)
+    if not (math.isfinite(integral) and integral > 0.0):
+        raise ConvergenceError(
+            f"norm integral of the {state.level.value} state on [{grid.r_min:.6g}, "
+            f"{grid.r_max:.6g}] is {integral}; it must be finite and > 0"
+        )
+    return integral
+
+
 def normalization_constant(state: ClosedFormState, grid: RadialGrid) -> float:
     """N = (integral of |R|^2 dr)^(-1/2), so N*R has unit norm."""
-    integral = quadrature(lambda r: radial_eval(state, r) ** 2, grid)
-    return integral ** -0.5
+    return _norm_integral(state, grid) ** -0.5
 
 
 def overlap(s1: ClosedFormState, s2: ClosedFormState, grid: RadialGrid) -> float:
     """Normalized overlap integral of two closed-form states (in [-1, 1])."""
-    n1 = quadrature(lambda r: radial_eval(s1, r) ** 2, grid)
-    n2 = quadrature(lambda r: radial_eval(s2, r) ** 2, grid)
-    scale = math.sqrt(n1 * n2)
+    scale = math.sqrt(_norm_integral(s1, grid) * _norm_integral(s2, grid))
     # orthogonal pairs cancel to ~0; resolve the cosine itself to 1e-11
     cross = quadrature(
         lambda r: radial_eval(s1, r) * radial_eval(s2, r), grid, abs_tol=1e-11 * scale

@@ -5,8 +5,16 @@ import numpy as np
 import pytest
 
 from anharm2d import cli
-from anharm2d.closed_form import PotentialParams, SignBranch, ground_state, radial_eval
+from anharm2d.closed_form import (
+    PotentialParams,
+    SignBranch,
+    ground_constraint_b,
+    ground_kappa,
+    ground_state,
+    radial_eval,
+)
 from anharm2d.numeric import ConvergenceError, VerificationReport
+from tests.test_numeric import bessel_norm_integral
 
 
 def run(capsys, *argv):
@@ -97,17 +105,34 @@ class TestEval:
     @pytest.mark.parametrize(
         "command, a, c, b",
         [
-            # 4c (m^2 + 2 sqrt(ac)) overflows, which no b can match
+            # 4c (m^2 + 2 sqrt(ac)) overflows, but the branch b, 8.7e154, does not
             ("eval", "1e-300", "1e306", "0"),
             ("normalize", "1e-300", "1e306", "0"),
-            # (b + 2 sqrt(c))^2 overflows
+            # (b + 2 sqrt(c))^2 overflows, but b itself does not
             ("normalize", "1", "4", "1e300"),
         ],
     )
     def test_overflowing_constraint_terms_exit_3(self, capsys, command, a, c, b):
         code, out, err = run(capsys, command, "--state", "ground", "--a", a, "--c", c, "--b", b)
         assert (code, out) == (3, "")
+        assert "constraint needs b" in err
+
+    def test_overflowing_branch_b_exits_3(self, capsys):
+        # sqrt(ac) overflows, and with it the b of either branch
+        code, out, err = run(
+            capsys, "eval", "--state", "ground", "--a", "1e308", "--c", "1e308", "--b", "0"
+        )
+        assert (code, out) == (3, "")
         assert "constraint terms overflow" in err
+
+    @pytest.mark.parametrize("state, a", [("ground", "1"), ("excited", "4e26")])
+    def test_off_surface_small_c_exits_3(self, capsys, state, a):
+        # the surface needs b = -2e-13 (ground) or -6e-13 (excited); an absolute floor let b = 0 by
+        code, out, err = run(
+            capsys, "eval", "--state", state, "--a", a, "--c", "1e-26", "--b", "0", "--samples", "3"
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ")
 
     def test_explicit_valid_params_pass_gate(self, capsys):
         code, out, _ = run(
@@ -236,6 +261,13 @@ class TestVerifyCommand:
         assert code in {2, 3, 4, 5}
         assert err.startswith("error: ")
 
+    def test_zero_norm_integral_exits_4(self, capsys, monkeypatch):
+        # with T = 1e6 the grid is [1e-3, 1414]; the coarse Simpson samples all underflow to 0
+        monkeypatch.setenv("ANHARM_TAIL_THRESHOLD", "1e6")
+        code, out, err = run(capsys, "verify", "--a", "1", "--grid-n", "256")
+        assert (code, out) == (4, "")
+        assert "norm integral" in err
+
     def test_failed_report_exits_5(self, capsys, monkeypatch):
         real = cli.verify
 
@@ -272,6 +304,29 @@ class TestNormalize:
         doc = json.loads(out)
         assert doc["N"] > 0.0
         assert math.isfinite(doc["N"])
+
+    def test_cancelling_minus_branch_b_is_accepted(self, capsys):
+        # ground_constraint_b(1e-46, 1e14, 0, MINUS): b + 2 sqrt(c) = -0.28 against 2 sqrt(c) = 2e7
+        code, out, _ = run(
+            capsys, "normalize", "--state", "ground", "--a", "1e-46", "--c", "1e14",
+            "--m", "0", "--b", "-20000000.28284271",
+        )
+        assert code == 0
+        kappa = ground_kappa(0, 1e-46, 1e14, SignBranch.MINUS)
+        integral = json.loads(out)["integral"]
+        assert integral == pytest.approx(bessel_norm_integral(1e-46, 1e14, kappa), rel=1e-8)
+        assert integral == pytest.approx(5.0e22, rel=1e-5)
+
+    def test_zero_norm_integral_exits_4(self, capsys):
+        # the grid [4.9e-62, 1.3e-60] misses the state, so every sample underflows to 0
+        a, c, m = 2.6034814692355e243, 4.657280431813428e-242, 2
+        b = ground_constraint_b(a, c, m, SignBranch.PLUS)
+        code, out, err = run(
+            capsys, "normalize", "--state", "ground", "--a", repr(a), "--c", repr(c),
+            "--m", str(m), "--b", repr(b),
+        )
+        assert (code, out) == (4, "")
+        assert "norm integral" in err
 
     def test_quadrature_failure_exits_4(self, capsys, monkeypatch):
         def broken(state, grid):

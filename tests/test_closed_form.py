@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from anharm2d.closed_form import (
     Level,
     PotentialParams,
+    ConstraintViolation,
     SignBranch,
     SolvabilityError,
     constrained_state,
@@ -15,7 +16,6 @@ from anharm2d.closed_form import (
     excited_solve,
     excited_state,
     ground_constraint_b,
-    ground_constraint_residual,
     ground_kappa,
     ground_peak_radius,
     ground_state,
@@ -93,18 +93,28 @@ class TestGroundConstraint:
         got = ground_constraint_b(1.0, 1.0, 0, SignBranch.PLUS)
         assert got == pytest.approx(-2.0 + 2.0 * math.sqrt(2.0), rel=1e-15)
 
-    def test_residual_sec3(self):
-        assert ground_constraint_residual(PotentialParams(1.0, -12.0, 4.0), 0) == 0.0
+    @pytest.mark.parametrize(
+        "a, b, c",
+        [
+            (1.0, -12.0, 4.0),
+            (4.0, -6.0, 1.0),
+            # b + 2 sqrt(c) = -0.28 against 2 sqrt(c) = 2e7: squaring it lost b to cancellation
+            (1e-46, -20000000.28284271, 1e14),
+        ],
+    )
+    def test_gate_accepts_surface_points(self, a, b, c):
+        assert ground_constraint_b(a, c, 0, SignBranch.MINUS) == pytest.approx(b, rel=1e-15)
+        params = PotentialParams(a, b, c)
+        expected = ground_state(params, 0, SignBranch.MINUS)
+        assert constrained_state(params, 0, Level.GROUND) == expected
 
-    def test_residual_off_surface(self):
-        assert ground_constraint_residual(PotentialParams(1.0, 0.0, 1.0), 0) == pytest.approx(-4.0)
-
-    def test_residual_derived(self):
-        b = ground_constraint_b(4.0, 1.0, 0, SignBranch.MINUS)
-        assert b == pytest.approx(-6.0)
-        assert ground_constraint_residual(PotentialParams(4.0, b, 1.0), 0) == pytest.approx(
-            0.0, abs=1e-12
-        )
+    # at c = 1e-26 the surface needs b = -2e-13 (+- 9e-20); an absolute floor let both b by
+    @pytest.mark.parametrize(
+        "a, b, c", [(1.0, 0.0, 1.0), (1.0, 0.0, 1e-26), (1.0, -1.9e-13, 1e-26)]
+    )
+    def test_gate_rejects_off_surface(self, a, b, c):
+        with pytest.raises(ConstraintViolation):
+            constrained_state(PotentialParams(a, b, c), 0, Level.GROUND)
 
     @pytest.mark.parametrize("branch", list(SignBranch))
     def test_gate_infers_branch_of_nearly_equal_roots(self, branch):
@@ -114,16 +124,24 @@ class TestGroundConstraint:
         assert constrained_state(params, 0, Level.GROUND) == ground_state(params, 0, branch)
 
     @given(
-        a=st.floats(0.1, 10.0),
-        c=st.floats(0.1, 10.0),
-        m=st.integers(0, 3),
+        log_a=st.floats(-300.0, 300.0),
+        log_c=st.floats(-300.0, 300.0),
+        m=st.sampled_from([0, 1, 2, 100]),
         branch=st.sampled_from(list(SignBranch)),
     )
-    def test_branch_matched_b_zeroes_residual(self, a, c, m, branch):
+    def test_gate_accepts_exactly_the_branch_b(self, log_a, log_c, m, branch):
+        a, c = 10.0**log_a, 10.0**log_c
         b = ground_constraint_b(a, c, m, branch)
-        res = ground_constraint_residual(PotentialParams(a, b, c), m)
-        scale = 4.0 * c * (m * m + 2.0 * math.sqrt(a * c))
-        assert abs(res) <= 4.0 * math.ulp(scale)
+        if not math.isfinite(b):
+            with pytest.raises(ConstraintViolation, match="overflow"):
+                constrained_state(PotentialParams(a, 0.0, c), m, Level.GROUND)
+            return
+        constrained_state(PotentialParams(a, b, c), m, Level.GROUND)
+        # moved away from -2 sqrt(c): a move toward it could land on the other branch's b
+        step = 1e-8 * max(abs(b), 2.0 * math.sqrt(c))
+        off = b + step if branch is SignBranch.PLUS else b - step
+        with pytest.raises(ConstraintViolation, match="needs b"):
+            constrained_state(PotentialParams(a, off, c), m, Level.GROUND)
 
 
 class TestGroundEnergy:
@@ -200,6 +218,11 @@ class TestExcited:
     def test_energy_scaled(self):
         assert excited_state(PotentialParams(4.0, -6.0, 1.0)).energy == pytest.approx(12.0)
 
+    def test_gate_has_no_absolute_floor(self):
+        # the surface needs b = -6e-13, with kappa1 = 1/2; b = 0 would give kappa1 = 3.5
+        with pytest.raises(ConstraintViolation):
+            constrained_state(PotentialParams(4e26, 0.0, 1e-26), 0, Level.EXCITED)
+
     def test_eval_node(self, sec3):
         node = (sec3.params.c / sec3.params.a) ** 0.125
         assert radial_eval(sec3.excited, node) == pytest.approx(0.0, abs=1e-14)
@@ -257,7 +280,7 @@ class TestExcitedSolve:
     @pytest.mark.parametrize("a", [1e-307, 0.25, 7.0, 1e6, 1e300])
     @pytest.mark.parametrize("m", [0, 1])
     def test_gate_returns_the_joint_states(self, a, m):
-        # at a = 1e-307 both sides of the ground constraint, 16c, exceed the largest double
+        # at a = 1e-307, c = 4e307 and 16c would exceed the largest double
         j = excited_solve(a, m)
         assert constrained_state(j.params, m, Level.GROUND) == j.ground
         assert constrained_state(j.params, m, Level.EXCITED) == j.excited
@@ -266,8 +289,8 @@ class TestExcitedSolve:
     @pytest.mark.parametrize("m", [0, 1])
     def test_joint_algebra(self, a, m):
         j = excited_solve(a, m)
-        assert abs(ground_constraint_residual(j.params, m)) <= 4.0 * math.ulp(
-            4.0 * j.params.c * (m * m + 2.0 * math.sqrt(a * j.params.c))
+        assert ground_constraint_b(a, j.params.c, m, SignBranch.MINUS) == pytest.approx(
+            j.params.b, rel=1e-14
         )
         assert j.kappa1 == 0.5
         assert j.e1 - j.e0 == pytest.approx(8.0 * math.sqrt(a), rel=1e-14)
@@ -309,6 +332,15 @@ class TestGroundPeakRadius:
             else:
                 lo = mid
         assert ground_peak_radius(sec3.ground) == pytest.approx(0.5 * (lo + hi), rel=1e-12)
+
+    @pytest.mark.parametrize("c, m", [(1e-40, 5), (1e-20, 1)])
+    def test_minus_branch_root_does_not_cancel(self, c, m):
+        params = PotentialParams(1.0, ground_constraint_b(1.0, c, m, SignBranch.MINUS), c)
+        state = ground_state(params, m, SignBranch.MINUS)
+        r_sq = ground_peak_radius(state) ** 2
+        # sqrt(a) r^4 - kappa r^2 - sqrt(c) = 0, to rounding of its largest term
+        terms = (r_sq**2, -state.kappa * r_sq, -math.sqrt(c))
+        assert abs(sum(terms)) <= 1e-14 * max(abs(t) for t in terms)
 
     def test_grid_scan_oracle(self, sec3):
         r = np.linspace(0.3, 3.0, 20001)
