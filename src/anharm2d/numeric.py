@@ -2,10 +2,12 @@
 
 Discretizes the radial operator -d^2/dr^2 + V(r) + (m^2 - 1/4)/r^2 with
 second-order central differences on a truncated uniform grid, extracts the
-low spectrum with Sturm-sequence bisection plus Rayleigh-quotient
-refinement on twisted-factorization eigenvectors (no library eigensolver),
-and provides Simpson quadrature for normalization, overlaps and
-convergence diagnostics.
+low spectrum from scratch (no library eigensolver) and provides Simpson
+quadrature for normalization, overlaps and convergence diagnostics.  Each
+eigenvalue is isolated by Sturm counts, first around a prediction from
+coarser grids (never from the closed form) and by bisection only where the
+prediction misses, then refined by Rayleigh-quotient steps on
+twisted-factorization eigenvectors.
 
 The half-line domain is truncated where both exponential tails of the exact
 states fall below exp(-T) of their peak scale (T = 45 by default, or the
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -129,7 +132,7 @@ def assemble(params: PotentialParams, m: int, grid: RadialGrid) -> DiscreteHamil
 
 
 # ---------------------------------------------------------------------------
-# Sturm bisection + twisted-factorization Rayleigh refinement
+# Sturm-count isolation + twisted-factorization Rayleigh refinement
 # ---------------------------------------------------------------------------
 
 def _pivots(d: list, e2: list, lam: float, pivmin: float) -> tuple[int, list]:
@@ -152,9 +155,21 @@ def _pivots(d: list, e2: list, lam: float, pivmin: float) -> tuple[int, list]:
 
 
 def sturm_count(ham: DiscreteHamiltonian, lam: float) -> int:
-    """Number of eigenvalues strictly below lam (Sturm sequence count)."""
+    """Number of eigenvalues strictly below lam (Sturm sequence count).
+
+    The pivot recurrence of _pivots with the same pivmin guard, so the same
+    counts, but it only counts: no pivot list is built.  A pivot below
+    pivmin is negative or is replaced by -pivmin, so it counts either way."""
     d, e2, pivmin = ham._recurrence
-    return _pivots(d, e2, lam, pivmin)[0]
+    negatives = 0
+    q = 1.0
+    for di, ei2 in zip(d, e2):
+        q = di - lam - ei2 / q
+        if q < pivmin:
+            negatives += 1
+            if q > -pivmin:
+                q = -pivmin
+    return negatives
 
 
 def _gershgorin_bounds(ham: DiscreteHamiltonian):
@@ -202,39 +217,51 @@ class SpectrumResult:
     grid: RadialGrid
 
 
-def lowest_eigenvalues(ham: DiscreteHamiltonian, k: int) -> SpectrumResult:
-    """k smallest eigenpairs via Sturm bisection then twisted-factorization
-    Rayleigh refinement.
+def lowest_eigenvalues(
+    ham: DiscreteHamiltonian, k: int, predicted: Sequence[float] = ()
+) -> SpectrumResult:
+    """k smallest eigenpairs via Sturm-count isolation then
+    twisted-factorization Rayleigh refinement.
 
-    Bisection isolates the j-th eigenvalue in [a, b] (sturm_count(a) = j-1,
-    sturm_count(b) = j) and narrows the bracket to 1e-3 of its endpoints.
-    Three Rayleigh-quotient steps on twisted-factorization vectors then
-    refine the pair from the bracket midpoint.  The result is certified by
-    its Rayleigh quotient lying inside the isolating bracket, which also
-    makes the eigenvalues ascend with none skipped; otherwise
-    ConvergenceError is raised.
+    Every Sturm probe made on the matrix, the two Gershgorin ends included,
+    goes into one table of (shift, count).  The j-th eigenvalue starts from
+    the bracket [a, b] of the largest shift with count <= j-1 and the
+    smallest with count >= j, so probes made for earlier eigenvalues bound
+    it too.  When predicted[j-1] = p is given, the shifts
+    p -+ 5e-4*max(|p|, floor) inside the bracket are probed first: if their
+    counts are (j-1, j), that bracket already passes the test below.
+    Otherwise (no, a non-finite or a wrong prediction) bisection
+    narrows the bracket until sturm_count(a) = j-1, sturm_count(b) = j and
+    b - a is within 1e-3 of its endpoints.  Three Rayleigh-quotient steps on
+    twisted-factorization vectors then refine the pair from the bracket
+    midpoint.  The result is certified by its Rayleigh quotient lying inside
+    the isolating bracket, whatever produced the bracket, which also makes
+    the eigenvalues ascend with none skipped; otherwise ConvergenceError is
+    raised.
     """
     n = ham.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
     lo, hi = _gershgorin_bounds(ham)
     floor = 1e-9 * (hi - lo)  # keeps an eigenvalue near 0 from bisecting to underflow
+    probes = [(lo, 0), (hi, n)]
 
     values = []
     vectors = []
-    a, count_a = lo, 0
     for j in range(1, k + 1):
-        b, count_b = hi, n
-        while not (count_a == j - 1 and count_b == j
-                   and b - a <= 1e-3 * max(abs(a), abs(b), floor)):
-            mid = 0.5 * (a + b)
-            if not a < mid < b:
+        p = float(predicted[j - 1]) if j <= len(predicted) else math.nan
+        delta = 5e-4 * max(abs(p), floor)
+        guesses = [p - delta, p + delta]  # dropped once outside the bracket, as NaN always is
+        while True:
+            a, count_a = max(probe for probe in probes if probe[1] <= j - 1)
+            b, count_b = min(probe for probe in probes if probe[1] >= j)
+            if count_a == j - 1 and count_b == j and b - a <= 1e-3 * max(abs(a), abs(b), floor):
+                break
+            guesses = [x for x in guesses if a < x < b]
+            shift = guesses.pop(0) if guesses else 0.5 * (a + b)
+            if not a < shift < b:
                 raise ConvergenceError(f"bisection could not isolate eigenvalue #{j} in [{a}, {b}]")
-            count = sturm_count(ham, mid)
-            if count >= j:
-                b, count_b = mid, count
-            else:
-                a, count_a = mid, count
+            probes.append((shift, sturm_count(ham, shift)))
         # Rayleigh-quotient iteration converges cubically: from a bracket
         # 1e-3 wide relative to the eigenvalue, two steps reach rounding
         # level and the third makes the vector at that shift
@@ -250,7 +277,6 @@ def lowest_eigenvalues(ham: DiscreteHamiltonian, k: int) -> SpectrumResult:
             v = -v
         values.append(rho)
         vectors.append(v)
-        a, count_a = b, j
     return SpectrumResult(eigenvalues=np.array(values), eigenvectors=np.array(vectors), grid=ham.grid)
 
 
@@ -326,12 +352,24 @@ def overlap(s1: ClosedFormState, s2: ClosedFormState, grid: RadialGrid) -> float
 
 def _error_table(params: PotentialParams, m: int, exact: tuple, n_list):
     """Spacings h over the ascending n_list, |eigenvalue - exact| per level
-    (one row per entry of exact) and the spectrum on the finest grid."""
-    hs, errs = [], []
+    (one row per entry of exact) and the spectrum on the finest grid.
+
+    Each grid's eigensolve is given predicted eigenvalues from the coarser
+    grids, never from exact: the previous grid's eigenvalues, or, after two
+    grids, their h^2 extrapolation to this grid's h.  A good prediction
+    costs two Sturm passes per eigenvalue; a poor one falls back to bisection."""
+    hs, errs, found = [], [], []
     for n in n_list:
         grid = build_grid(params, n)
-        spectrum = lowest_eigenvalues(assemble(params, m, grid), len(exact))
-        hs.append(grid.h)
+        h = grid.h
+        if len(found) >= 2:
+            (h1, h2), (l1, l2) = hs[-2:], found[-2:]
+            predicted = l2 + (l2 - l1) * (h**2 - h2**2) / (h2**2 - h1**2)
+        else:
+            predicted = found[-1] if found else ()
+        spectrum = lowest_eigenvalues(assemble(params, m, grid), len(exact), predicted)
+        hs.append(h)
+        found.append(spectrum.eigenvalues)
         errs.append([abs(spectrum.eigenvalues[i] - exact[i]) for i in range(len(exact))])
     return np.array(hs), np.array(errs).T, spectrum
 
@@ -385,6 +423,9 @@ def verify(a: float, m: int, n: int = 4000) -> VerificationReport:
     counts nodes, measures the ground/excited overlap and normalization
     constants, and fits the h^2 error model across {n/4, n/2, n}; n >= 64
     keeps the coarsest of those grids at its 16-point minimum or above.  The
+    n/4 eigenvalues are bisected; the n/2 and n grids are predicted from the
+    coarser grids' eigenvalues (see _error_table) and certified by Sturm
+    counts, with bisection only where a prediction misses.  The
     report fails if any |E_hat - E| exceeds 10x the fitted model prediction,
     the node counts differ from (0, 1), or the overlap exceeds 1e-8.
     """

@@ -1,15 +1,22 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import kv
 
+from anharm2d import numeric
 from anharm2d.closed_form import PotentialParams, excited_solve, radial_eval
 from anharm2d.numeric import (
     ConvergenceError,
     DiscreteHamiltonian,
     RadialGrid,
+    _error_table,
+    _gershgorin_bounds,
+    _pivots,
     assemble,
     build_grid,
     convergence_study,
@@ -105,6 +112,22 @@ def laplacian_hamiltonian(n: int, length: float) -> DiscreteHamiltonian:
     )
 
 
+def library_pair(ham: DiscreteHamiltonian) -> np.ndarray:
+    """The two lowest eigenvalues from scipy's LAPACK tridiagonal solver."""
+    return eigh_tridiagonal(ham.diag, ham.offdiag, eigvals_only=True, select="i", select_range=(0, 1))
+
+
+def rounding_floor(ham: DiscreteHamiltonian) -> float:
+    """eps * max|diag|, the rounding level of the matrix's eigenvalues."""
+    return np.finfo(float).eps * float(np.max(np.abs(ham.diag)))
+
+
+@functools.cache
+def sec3_hamiltonian(n: int) -> DiscreteHamiltonian:
+    params = excited_solve(1.0, 0).params
+    return assemble(params, 0, build_grid(params, n))
+
+
 class TestEigensolver:
     def test_laplacian_stencil_spectrum(self):
         # eigenvalues of the pure second-difference stencil are known exactly
@@ -146,6 +169,61 @@ class TestEigensolver:
         g = build_grid(sec3.params, 1000)
         ham = assemble(sec3.params, 0, g)
         assert sturm_count(ham, 0.0) == 1
+
+    @pytest.mark.parametrize("zero_pivot", [False, True])
+    def test_count_only_pass_matches_pivots_and_library(self, zero_pivot):
+        # sec3 grid, or the unscaled stencil whose second pivot at shift 1
+        # is exactly 0: 2 - 1 - 1/1 (no eigenvalue is 1, since 17 is not a
+        # multiple of 3)
+        if zero_pivot:
+            ham = DiscreteHamiltonian(diag=np.full(16, 2.0), offdiag=np.full(15, -1.0),
+                                      grid=RadialGrid(1.0, 2.0, 16))
+        else:
+            ham = sec3_hamiltonian(400)
+        every = eigh_tridiagonal(ham.diag, ham.offdiag, eigvals_only=True)
+        low = every[:4]
+        step = 1e-6 * np.diff(every[:5])
+        shifts = [*(low - step), *(low + step), *ham.diag[:3], ham.diag[-1], 1.0,
+                  *_gershgorin_bounds(ham)]
+        d, e2, pivmin = ham._recurrence
+        for x in shifts:
+            expected = int(np.sum(every < x))
+            assert sturm_count(ham, x) == _pivots(d, e2, x, pivmin)[0] == expected, x
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        factors=st.lists(
+            st.one_of(
+                st.sampled_from([1.0, 0.0, math.nan, math.inf, -math.inf]),
+                st.floats(-9.0, 6.0).flatmap(
+                    lambda u: st.sampled_from([1.0 + 10.0**u, 1.0 - 10.0**u])
+                ),
+            ),
+            min_size=2, max_size=2,
+        ),
+        swap=st.booleans(),
+    )
+    def test_any_prediction_gives_the_certified_pair(self, factors, swap):
+        # each prediction is the exact eigenvalue times a factor: exact, 0,
+        # non-finite of either sign, or off by a relative 1e-9 .. 1e6
+        ham = sec3_hamiltonian(1000)
+        ref = library_pair(ham)
+        predicted = [f * value for f, value in zip(factors, ref)]
+        if swap:
+            predicted.reverse()
+        result = lowest_eigenvalues(ham, 2, predicted)
+        assert np.all(np.abs(result.eigenvalues - ref) <= 2.0 * rounding_floor(ham))
+        assert [node_count(v) for v in result.eigenvectors] == [0, 1]
+
+    def test_exact_prediction_costs_two_passes_per_eigenvalue(self, monkeypatch):
+        ham = sec3_hamiltonian(1000)
+        ref = library_pair(ham)
+        shifts = []
+        real = numeric.sturm_count
+        monkeypatch.setattr(numeric, "sturm_count", lambda h, x: shifts.append(x) or real(h, x))
+        result = lowest_eigenvalues(ham, 2, ref)
+        assert len(shifts) == 4
+        assert np.all(np.abs(result.eigenvalues - ref) <= 2.0 * rounding_floor(ham))
 
     def test_ascending(self, sec3):
         g = build_grid(sec3.params, 400)
@@ -334,6 +412,38 @@ class TestVerify:
 
         with pytest.raises(SolvabilityError):
             verify(1.0, 3, 1000)
+
+    def test_predicted_brackets_save_sturm_passes(self, monkeypatch):
+        # bisecting every eigenvalue of the three grids from Gershgorin
+        # took 165 Sturm passes here
+        calls = []
+        real = numeric.sturm_count
+        monkeypatch.setattr(numeric, "sturm_count", lambda h, x: calls.append(x) or real(h, x))
+        assert verify(1.0, 0, 4000).passed
+        assert len(calls) <= 60
+
+    def test_predictions_do_not_use_the_exact_energies(self, sec3):
+        # the numeric side must not be steered by the values it checks
+        ns = [250, 500, 1000]
+        *_, right = _error_table(sec3.params, 0, (sec3.e0, sec3.e1), ns)
+        *_, wrong = _error_table(sec3.params, 0, (1e3, -1e3), ns)
+        assert np.array_equal(right.eigenvalues, wrong.eigenvalues)
+
+    def test_every_grid_matches_library_eigenvalues(self, monkeypatch):
+        solved = []
+        real = numeric.lowest_eigenvalues
+
+        def recording(ham, k, *rest):
+            result = real(ham, k, *rest)
+            solved.append((ham, result.eigenvalues))
+            return result
+
+        monkeypatch.setattr(numeric, "lowest_eigenvalues", recording)
+        verify(1.0, 0, 32000)
+        assert [ham.n for ham, _ in solved] == [8000, 16000, 32000]
+        for ham, values in solved:
+            ref = library_pair(ham)
+            assert np.all(np.abs(values - ref) <= 2.0 * rounding_floor(ham))
 
     def test_report_dict_fields(self):
         report = verify(1.0, 0, 1000)
