@@ -6,8 +6,9 @@ low spectrum from scratch (no library eigensolver) and provides Simpson
 quadrature for normalization, overlaps and convergence diagnostics.  Each
 eigenvalue is isolated by Sturm counts, first around a prediction from
 coarser grids (never from the closed form) and by bisection only where the
-prediction misses, then refined by Rayleigh-quotient steps on
-twisted-factorization eigenvectors.
+prediction misses, then refined by at most three Rayleigh-quotient steps
+on twisted-factorization eigenvectors, the last being the first whose
+correction is at rounding level.
 
 The half-line domain is truncated where both exponential tails of the exact
 states fall below exp(-T) of their peak scale (T = 45 by default, or the
@@ -114,6 +115,13 @@ class DiscreteHamiltonian:
         pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))  # as LAPACK dstebz
         return self.diag.tolist(), [0.0] + e2.tolist(), pivmin
 
+    @cached_property
+    def _reversed_recurrence(self) -> tuple[list, list]:
+        """(diag, [0] + offdiag^2) of the matrix with its rows and columns
+        reversed, the inputs of the backward pivot recurrence."""
+        d, e2, _ = self._recurrence
+        return d[::-1], [0.0] + e2[:0:-1]
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = self.diag * v
         out[:-1] += self.offdiag * v[1:]
@@ -135,23 +143,33 @@ def assemble(params: PotentialParams, m: int, grid: RadialGrid) -> DiscreteHamil
 # Sturm-count isolation + twisted-factorization Rayleigh refinement
 # ---------------------------------------------------------------------------
 
-def _pivots(d: list, e2: list, lam: float, pivmin: float) -> tuple[int, list]:
+def _pivots(d: list, e2: list, lam: float, pivmin: float) -> tuple[int, np.ndarray]:
     """Pivots q_i = d_i - lam - e2_i / q_(i-1) of T - lam I = L D L^T, and
     how many are negative.  e2[0] must be 0; a pivot smaller than pivmin in
-    magnitude is replaced by -pivmin.  Runs over Python floats, which is
-    several times faster than indexing numpy arrays element by element."""
-    pivots = []
-    append = pivots.append
-    negatives = 0
+    magnitude is replaced by -pivmin.
+
+    The sweep runs unguarded over Python floats, several times faster than
+    indexing numpy arrays element by element.  Only when it divides by an
+    exact zero, or leaves a pivot that is not >= pivmin in magnitude, is it
+    redone with the guard on every element; otherwise the guard would not
+    have fired, so the pivots are the same bit for bit.  lam is made a
+    Python float so that a zero pivot raises instead of giving inf."""
+    lam = float(lam)
     q = 1.0
-    for di, ei2 in zip(d, e2):
-        q = di - lam - ei2 / q
-        if abs(q) < pivmin:
-            q = -pivmin
-        if q < 0.0:
-            negatives += 1
-        append(q)
-    return negatives, pivots
+    try:
+        pivots = np.array([q := di - lam - ei2 / q for di, ei2 in zip(d, e2)])
+    except ZeroDivisionError:
+        pivots = None
+    if pivots is None or not np.all(np.abs(pivots) >= pivmin):
+        guarded = []
+        q = 1.0
+        for di, ei2 in zip(d, e2):
+            q = di - lam - ei2 / q
+            if abs(q) < pivmin:
+                q = -pivmin
+            guarded.append(q)
+        pivots = np.array(guarded)
+    return int(np.count_nonzero(pivots < 0.0)), pivots
 
 
 def sturm_count(ham: DiscreteHamiltonian, lam: float) -> int:
@@ -192,8 +210,8 @@ def _twisted_rayleigh(ham: DiscreteHamiltonian, sigma: float):
     Returns the unit vector and its Rayleigh quotient.
     """
     d, e2, pivmin = ham._recurrence
-    fwd = np.array(_pivots(d, e2, sigma, pivmin)[1])
-    bwd = np.array(_pivots(d[::-1], [0.0] + e2[:0:-1], sigma, pivmin)[1][::-1])
+    fwd = _pivots(d, e2, sigma, pivmin)[1]
+    bwd = _pivots(*ham._reversed_recurrence, sigma, pivmin)[1][::-1]
     gamma = fwd + bwd - (ham.diag - sigma)
     r = int(np.argmin(np.abs(gamma)))
     e = ham.offdiag
@@ -232,9 +250,12 @@ def lowest_eigenvalues(
     counts are (j-1, j), that bracket already passes the test below.
     Otherwise (no, a non-finite or a wrong prediction) bisection
     narrows the bracket until sturm_count(a) = j-1, sturm_count(b) = j and
-    b - a is within 1e-3 of its endpoints.  Three Rayleigh-quotient steps on
+    b - a is within 1e-3 of its endpoints.  Rayleigh-quotient steps on
     twisted-factorization vectors then refine the pair from the bracket
-    midpoint.  The result is certified by its Rayleigh quotient lying inside
+    midpoint, stopping after the first step that moves the quotient by at
+    most eps * max(|lo|, |hi|), lo and hi the Gershgorin ends, or after
+    three; the pair is that step's vector and quotient.  The result is
+    certified by its Rayleigh quotient lying inside
     the isolating bracket, whatever produced the bracket, which also makes
     the eigenvalues ascend with none skipped; otherwise ConvergenceError is
     raised.
@@ -244,6 +265,7 @@ def lowest_eigenvalues(
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
     lo, hi = _gershgorin_bounds(ham)
     floor = 1e-9 * (hi - lo)  # keeps an eigenvalue near 0 from bisecting to underflow
+    rounding = np.finfo(float).eps * max(abs(lo), abs(hi))  # a Rayleigh step this small ends refinement
     probes = [(lo, 0), (hi, n)]
 
     values = []
@@ -263,11 +285,16 @@ def lowest_eigenvalues(
                 raise ConvergenceError(f"bisection could not isolate eigenvalue #{j} in [{a}, {b}]")
             probes.append((shift, sturm_count(ham, shift)))
         # Rayleigh-quotient iteration converges cubically: from a bracket
-        # 1e-3 wide relative to the eigenvalue, two steps reach rounding
-        # level and the third makes the vector at that shift
+        # 1e-3 wide relative to the eigenvalue, at most two steps reach
+        # rounding level and a third makes the vector at that shift.  A step
+        # whose correction is already at rounding level made its vector
+        # there, so it is the last.
         rho = 0.5 * (a + b)
         for _ in range(3):
-            v, rho = _twisted_rayleigh(ham, rho)
+            sigma = rho
+            v, rho = _twisted_rayleigh(ham, sigma)
+            if abs(rho - sigma) <= rounding:
+                break
         if not a <= rho <= b:
             raise ConvergenceError(
                 f"Rayleigh refinement of eigenvalue #{j} left its isolating bracket"

@@ -190,6 +190,43 @@ class TestEigensolver:
             expected = int(np.sum(every < x))
             assert sturm_count(ham, x) == _pivots(d, e2, x, pivmin)[0] == expected, x
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("tiny_pivot", [None, 0.0, 1e-310])
+    @pytest.mark.parametrize("as_shift", [float, np.float64])
+    def test_pivots_match_a_guarded_loop_bit_for_bit(self, tiny_pivot, as_shift):
+        # the sec3 grid, or a 16-point stencil whose pivot at one shift is
+        # below pivmin: the second, exactly 0, at shift 1 (2 - 1 - 1/1), or
+        # the first, subnormal, at shift 0 when diag[0] is 1e-310.  The
+        # reference guards every element.
+        if tiny_pivot is None:
+            ham = sec3_hamiltonian(400)
+        else:
+            diag = np.full(16, 2.0)
+            if tiny_pivot:
+                diag[0] = tiny_pivot
+            ham = DiscreteHamiltonian(diag=diag, offdiag=np.full(15, -1.0),
+                                      grid=RadialGrid(1.0, 2.0, 16))
+        every = eigh_tridiagonal(ham.diag, ham.offdiag, eigvals_only=True)
+        low = every[:4]
+        step = 1e-6 * np.diff(every[:5])
+        shifts = [*(low - step), *(low + step), *ham.diag[:3], ham.diag[-1], 0.0, 1.0,
+                  *_gershgorin_bounds(ham)]
+        d, e2, pivmin = ham._recurrence
+        for x in shifts:
+            reference, q = [], 1.0
+            for di, ei2 in zip(d, e2):
+                q = di - float(x) - ei2 / q
+                if abs(q) < pivmin:
+                    q = -pivmin
+                reference.append(q)
+            count, pivots = _pivots(d, e2, as_shift(x), pivmin)
+            assert pivots.tobytes() == np.array(reference).tobytes(), x
+            assert count == sum(q < 0.0 for q in reference), x
+        if tiny_pivot is not None:
+            # only the guarded fallback puts -pivmin where the sweep hit 0 or 1e-310
+            at, index = (0.0, 0) if tiny_pivot else (1.0, 1)
+            assert _pivots(d, e2, as_shift(at), pivmin)[1][index] == -pivmin
+
     @settings(max_examples=60, deadline=None)
     @given(
         factors=st.lists(
@@ -444,6 +481,36 @@ class TestVerify:
         for ham, values in solved:
             ref = library_pair(ham)
             assert np.all(np.abs(values - ref) <= 2.0 * rounding_floor(ham))
+
+    def test_rayleigh_steps_stop_at_rounding_level(self, monkeypatch):
+        # three steps for each of the 2 pairs on 3 grids took 18 here
+        calls = []
+        real = numeric._twisted_rayleigh
+        monkeypatch.setattr(numeric, "_twisted_rayleigh", lambda h, x: calls.append(x) or real(h, x))
+        assert verify(1.0, 0, 32000).passed
+        assert len(calls) <= 12
+
+    @pytest.mark.parametrize("a, m", [(1.0, 0), (10.0, 1)])
+    def test_every_grid_has_accurate_vectors(self, monkeypatch, a, m):
+        # a refinement that stops early must still return the eigenvector
+        solved = []
+        real = numeric.lowest_eigenvalues
+
+        def recording(ham, k, *rest):
+            result = real(ham, k, *rest)
+            solved.append((ham, result))
+            return result
+
+        monkeypatch.setattr(numeric, "lowest_eigenvalues", recording)
+        verify(a, m, 32000)
+        assert [ham.n for ham, _ in solved] == [8000, 16000, 32000]
+        for ham, result in solved:
+            scale = float(np.max(np.abs(ham.diag)))
+            _, ref = eigh_tridiagonal(ham.diag, ham.offdiag, select="i", select_range=(0, 1))
+            for lam, v, u in zip(result.eigenvalues, result.eigenvectors, ref.T):
+                assert np.linalg.norm(ham.matvec(v) - lam * v) <= 1e-12 * scale
+                assert 1.0 - abs(v @ u) <= 1e-12
+            assert [node_count(v) for v in result.eigenvectors] == [0, 1]
 
     def test_report_dict_fields(self):
         report = verify(1.0, 0, 1000)
