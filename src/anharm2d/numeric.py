@@ -8,7 +8,9 @@ eigenvalue is isolated by Sturm counts, first around a prediction from
 coarser grids (never from the closed form) and by bisection only where the
 prediction misses, then refined by at most three Rayleigh-quotient steps
 on twisted-factorization eigenvectors, the last being the first whose
-correction is at rounding level.
+correction is at rounding level.  Two small scout grids ahead of the
+convergence grids supply the first predictions, so bisection from the
+Gershgorin bounds runs only on the smallest of them.
 
 The half-line domain is truncated where both exponential tails of the exact
 states fall below exp(-T) of their peak scale (T = 45 by default, or the
@@ -37,6 +39,7 @@ from anharm2d.closed_form import (
 )
 
 DEFAULT_TAIL_THRESHOLD = 45.0
+MIN_GRID_POINTS = 16  # fewest interior points a RadialGrid accepts
 NODE_REL_FLOOR = 1e-12  # node_count ignores entries below this fraction of max|v|
 QUAD_REL_TOL = 1e-10  # quadrature stops when two doublings agree to this
 QUAD_MAX_DOUBLINGS = 20
@@ -71,8 +74,8 @@ class RadialGrid:
     def __post_init__(self):
         if not (0.0 < self.r_min < self.r_max):
             raise ValueError("need 0 < r_min < r_max")
-        if self.n < 16:
-            raise ValueError(f"grid needs at least 16 interior points, got {self.n}")
+        if self.n < MIN_GRID_POINTS:
+            raise ValueError(f"grid needs at least {MIN_GRID_POINTS} interior points, got {self.n}")
 
     @property
     def h(self) -> float:
@@ -381,12 +384,17 @@ def _error_table(params: PotentialParams, m: int, exact: tuple, n_list):
     """Spacings h over the ascending n_list, |eigenvalue - exact| per level
     (one row per entry of exact) and the spectrum on the finest grid.
 
-    Each grid's eigensolve is given predicted eigenvalues from the coarser
-    grids, never from exact: the previous grid's eigenvalues, or, after two
-    grids, their h^2 extrapolation to this grid's h.  A good prediction
-    costs two Sturm passes per eigenvalue; a poor one falls back to bisection."""
-    hs, errs, found = [], [], []
-    for n in n_list:
+    Two scout grids of n_list[0] // 8 and n_list[0] // 4 points, each kept
+    only if it has MIN_GRID_POINTS, are solved first; their eigenvalues
+    only feed predictions and get no row.  Each grid's eigensolve is given
+    predicted eigenvalues from the grids before it, never from exact: the
+    previous grid's eigenvalues, or, after two grids, their h^2
+    extrapolation to this grid's h.  A good prediction costs two Sturm
+    passes per eigenvalue; a poor one falls back to bisection, as the
+    first grid solved, having none, always does."""
+    scouts = [s for s in (n_list[0] // 8, n_list[0] // 4) if s >= MIN_GRID_POINTS]
+    hs, found = [], []
+    for n in [*scouts, *n_list]:
         grid = build_grid(params, n)
         h = grid.h
         if len(found) >= 2:
@@ -397,8 +405,8 @@ def _error_table(params: PotentialParams, m: int, exact: tuple, n_list):
         spectrum = lowest_eigenvalues(assemble(params, m, grid), len(exact), predicted)
         hs.append(h)
         found.append(spectrum.eigenvalues)
-        errs.append([abs(spectrum.eigenvalues[i] - exact[i]) for i in range(len(exact))])
-    return np.array(hs), np.array(errs).T, spectrum
+    reported = slice(len(scouts), None)
+    return np.array(hs[reported]), np.abs(np.array(found[reported]) - np.array(exact)).T, spectrum
 
 
 def _order(hs: np.ndarray, errs: np.ndarray) -> float:
@@ -449,10 +457,12 @@ def verify(a: float, m: int, n: int = 4000) -> VerificationReport:
     Solves the closed form, discretizes, extracts the two lowest eigenpairs,
     counts nodes, measures the ground/excited overlap and normalization
     constants, and fits the h^2 error model across {n/4, n/2, n}; n >= 64
-    keeps the coarsest of those grids at its 16-point minimum or above.  The
-    n/4 eigenvalues are bisected; the n/2 and n grids are predicted from the
-    coarser grids' eigenvalues (see _error_table) and certified by Sturm
-    counts, with bisection only where a prediction misses.  The
+    keeps the coarsest of those grids at its 16-point minimum or above.
+    Scout grids of n/32 and n/16 points, where they reach that minimum, are
+    solved first.  The first grid solved has no prediction and is bisected
+    from Gershgorin; every later grid, n/4 included once a scout precedes it,
+    is predicted from the grids before it (see _error_table) and certified
+    by Sturm counts, with bisection only where a prediction misses.  The
     report fails if any |E_hat - E| exceeds 10x the fitted model prediction,
     the node counts differ from (0, 1), or the overlap exceeds 1e-8.
     """

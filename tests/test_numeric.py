@@ -451,13 +451,15 @@ class TestVerify:
             verify(1.0, 3, 1000)
 
     def test_predicted_brackets_save_sturm_passes(self, monkeypatch):
-        # bisecting every eigenvalue of the three grids from Gershgorin
-        # took 165 Sturm passes here
-        calls = []
+        # the 125- and 250-point scouts take the bisection, so each reported
+        # grid costs two passes per eigenvalue; bisecting the 1000-point grid
+        # took 39 passes and 63000 points of Sturm work in all
+        sizes = []
         real = numeric.sturm_count
-        monkeypatch.setattr(numeric, "sturm_count", lambda h, x: calls.append(x) or real(h, x))
+        monkeypatch.setattr(numeric, "sturm_count", lambda h, x: sizes.append(h.n) or real(h, x))
         assert verify(1.0, 0, 4000).passed
-        assert len(calls) <= 60
+        assert all(sizes.count(n) <= 4 for n in (1000, 2000, 4000))
+        assert sum(sizes) <= 50000
 
     def test_predictions_do_not_use_the_exact_energies(self, sec3):
         # the numeric side must not be steered by the values it checks
@@ -477,18 +479,21 @@ class TestVerify:
 
         monkeypatch.setattr(numeric, "lowest_eigenvalues", recording)
         verify(1.0, 0, 32000)
-        assert [ham.n for ham, _ in solved] == [8000, 16000, 32000]
+        assert [ham.n for ham, _ in solved] == [1000, 2000, 8000, 16000, 32000]
         for ham, values in solved:
             ref = library_pair(ham)
             assert np.all(np.abs(values - ref) <= 2.0 * rounding_floor(ham))
 
     def test_rayleigh_steps_stop_at_rounding_level(self, monkeypatch):
-        # three steps for each of the 2 pairs on 3 grids took 18 here
-        calls = []
+        # three steps for each of the 2 pairs on 3 grids took 18 here; with
+        # the n/4 grid bisected instead of predicted, the reported grids
+        # took 12 steps and 176000 points of Rayleigh work
+        sizes = []
         real = numeric._twisted_rayleigh
-        monkeypatch.setattr(numeric, "_twisted_rayleigh", lambda h, x: calls.append(x) or real(h, x))
+        monkeypatch.setattr(numeric, "_twisted_rayleigh", lambda h, x: sizes.append(h.n) or real(h, x))
         assert verify(1.0, 0, 32000).passed
-        assert len(calls) <= 12
+        assert sum(sizes.count(n) for n in (8000, 16000, 32000)) <= 8
+        assert sum(sizes) <= 160000
 
     @pytest.mark.parametrize("a, m", [(1.0, 0), (10.0, 1)])
     def test_every_grid_has_accurate_vectors(self, monkeypatch, a, m):
@@ -503,7 +508,7 @@ class TestVerify:
 
         monkeypatch.setattr(numeric, "lowest_eigenvalues", recording)
         verify(a, m, 32000)
-        assert [ham.n for ham, _ in solved] == [8000, 16000, 32000]
+        assert [ham.n for ham, _ in solved] == [1000, 2000, 8000, 16000, 32000]
         for ham, result in solved:
             scale = float(np.max(np.abs(ham.diag)))
             _, ref = eigh_tridiagonal(ham.diag, ham.offdiag, select="i", select_range=(0, 1))
@@ -511,6 +516,24 @@ class TestVerify:
                 assert np.linalg.norm(ham.matvec(v) - lam * v) <= 1e-12 * scale
                 assert 1.0 - abs(v @ u) <= 1e-12
             assert [node_count(v) for v in result.eigenvectors] == [0, 1]
+
+    @pytest.mark.parametrize("a, m", [(1.0, 0), (10.0, 1)])
+    @pytest.mark.parametrize(
+        "n, grids",
+        [(64, [16, 32, 64]), (511, [31, 127, 255, 511]), (512, [16, 32, 128, 256, 512])],
+    )
+    def test_scouts_below_the_grid_minimum_are_dropped(self, monkeypatch, a, m, n, grids):
+        # scouts of n/32 and n/16 points precede the reported grids, each
+        # only where it has the 16 points a grid needs
+        sizes = []
+        real = numeric.lowest_eigenvalues
+        monkeypatch.setattr(
+            numeric, "lowest_eigenvalues", lambda h, *rest: sizes.append(h.n) or real(h, *rest)
+        )
+        report = verify(a, m, n)
+        assert sizes == grids
+        assert report.passed
+        assert report.node_counts == (0, 1)
 
     def test_report_dict_fields(self):
         report = verify(1.0, 0, 1000)
