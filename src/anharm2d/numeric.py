@@ -100,10 +100,11 @@ def build_grid(params: PotentialParams, n: int) -> RadialGrid:
 
 @dataclass(frozen=True)
 class DiscreteHamiltonian:
-    """Symmetric tridiagonal discretization of the radial operator."""
+    """Symmetric tridiagonal discretization of the radial operator.  The uniform
+    stencil couples every pair of neighbours by one value, the float offdiag = -1/h^2."""
 
     diag: np.ndarray
-    offdiag: np.ndarray
+    offdiag: float
     grid: RadialGrid
 
     @property
@@ -111,25 +112,12 @@ class DiscreteHamiltonian:
         return len(self.diag)
 
     @cached_property
-    def _recurrence(self) -> tuple[list, list, float]:
-        """(diag, [0] + offdiag^2, pivmin) as Python floats, the inputs of
-        every pivot recurrence on this matrix."""
-        e2 = self.offdiag**2
-        pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))  # as LAPACK dstebz
-        return self.diag.tolist(), [0.0] + e2.tolist(), pivmin
-
-    @cached_property
-    def _reversed_recurrence(self) -> tuple[list, list]:
-        """(diag, [0] + offdiag^2) of the matrix with its rows and columns
-        reversed, the inputs of the backward pivot recurrence."""
-        d, e2, _ = self._recurrence
-        return d[::-1], [0.0] + e2[:0:-1]
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        out[:-1] += self.offdiag * v[1:]
-        out[1:] += self.offdiag * v[:-1]
-        return out
+    def _recurrence(self) -> tuple[list, float, float]:
+        """(diag as Python floats, offdiag^2, pivmin), the inputs of every
+        pivot recurrence on this matrix."""
+        e2 = self.offdiag * self.offdiag
+        pivmin = np.finfo(float).tiny * max(1.0, e2)  # as LAPACK dstebz
+        return self.diag.tolist(), e2, pivmin
 
 
 def assemble(params: PotentialParams, m: int, grid: RadialGrid) -> DiscreteHamiltonian:
@@ -138,18 +126,17 @@ def assemble(params: PotentialParams, m: int, grid: RadialGrid) -> DiscreteHamil
     r = grid.points()
     h = grid.h
     diag = 2.0 / h**2 + params.evaluate(r) + centrifugal_coefficient(m) / r**2
-    offdiag = np.full(grid.n - 1, -1.0 / h**2)
-    return DiscreteHamiltonian(diag=diag, offdiag=offdiag, grid=grid)
+    return DiscreteHamiltonian(diag=diag, offdiag=-1.0 / h**2, grid=grid)
 
 
 # ---------------------------------------------------------------------------
 # Sturm-count isolation + twisted-factorization Rayleigh refinement
 # ---------------------------------------------------------------------------
 
-def _pivots(d: list, e2: list, lam: float, pivmin: float) -> tuple[int, np.ndarray]:
-    """Pivots q_i = d_i - lam - e2_i / q_(i-1) of T - lam I = L D L^T, and
-    how many are negative.  e2[0] must be 0; a pivot smaller than pivmin in
-    magnitude is replaced by -pivmin.
+def _pivots(d: list, e2: float, lam: float, pivmin: float) -> tuple[int, np.ndarray]:
+    """Pivots q_i = d_i - lam - e2 / q_(i-1), q_0 = inf, of T - lam I = L D L^T,
+    and how many are negative: the Sturm count of lam.  A pivot smaller than
+    pivmin in magnitude is replaced by -pivmin, so it counts either way.
 
     The sweep runs unguarded over Python floats, several times faster than
     indexing numpy arrays element by element.  Only when it divides by an
@@ -158,16 +145,16 @@ def _pivots(d: list, e2: list, lam: float, pivmin: float) -> tuple[int, np.ndarr
     have fired, so the pivots are the same bit for bit.  lam is made a
     Python float so that a zero pivot raises instead of giving inf."""
     lam = float(lam)
-    q = 1.0
+    q = math.inf
     try:
-        pivots = np.array([q := di - lam - ei2 / q for di, ei2 in zip(d, e2)])
+        pivots = np.array([q := di - lam - e2 / q for di in d])
     except ZeroDivisionError:
         pivots = None
     if pivots is None or not np.all(np.abs(pivots) >= pivmin):
         guarded = []
-        q = 1.0
-        for di, ei2 in zip(d, e2):
-            q = di - lam - ei2 / q
+        q = math.inf
+        for di in d:
+            q = di - lam - e2 / q
             if abs(q) < pivmin:
                 q = -pivmin
             guarded.append(q)
@@ -176,28 +163,16 @@ def _pivots(d: list, e2: list, lam: float, pivmin: float) -> tuple[int, np.ndarr
 
 
 def sturm_count(ham: DiscreteHamiltonian, lam: float) -> int:
-    """Number of eigenvalues strictly below lam (Sturm sequence count).
-
-    The pivot recurrence of _pivots with the same pivmin guard, so the same
-    counts, but it only counts: no pivot list is built.  A pivot below
-    pivmin is negative or is replaced by -pivmin, so it counts either way."""
+    """Number of eigenvalues strictly below lam (Sturm sequence count): the
+    negative pivots of the forward sweep of _pivots."""
     d, e2, pivmin = ham._recurrence
-    negatives = 0
-    q = 1.0
-    for di, ei2 in zip(d, e2):
-        q = di - lam - ei2 / q
-        if q < pivmin:
-            negatives += 1
-            if q > -pivmin:
-                q = -pivmin
-    return negatives
+    return _pivots(d, e2, lam, pivmin)[0]
 
 
 def _gershgorin_bounds(ham: DiscreteHamiltonian):
     d = ham.diag
-    radius = np.zeros_like(d)
-    radius[:-1] += np.abs(ham.offdiag)
-    radius[1:] += np.abs(ham.offdiag)
+    radius = np.full_like(d, 2.0 * abs(ham.offdiag))
+    radius[[0, -1]] = abs(ham.offdiag)
     return float(np.min(d - radius)), float(np.max(d + radius))
 
 
@@ -214,13 +189,12 @@ def _twisted_rayleigh(ham: DiscreteHamiltonian, sigma: float):
     """
     d, e2, pivmin = ham._recurrence
     fwd = _pivots(d, e2, sigma, pivmin)[1]
-    bwd = _pivots(*ham._reversed_recurrence, sigma, pivmin)[1][::-1]
+    bwd = _pivots(d[::-1], e2, sigma, pivmin)[1][::-1]
     gamma = fwd + bwd - (ham.diag - sigma)
     r = int(np.argmin(np.abs(gamma)))
-    e = ham.offdiag
     z = np.ones(ham.n)
-    z[:r] = np.cumprod((-e[:r] / fwd[:r])[::-1])[::-1]
-    z[r + 1:] = np.cumprod(-e[r:] / bwd[r + 1:])
+    z[:r] = np.cumprod((-ham.offdiag / fwd[:r])[::-1])[::-1]
+    z[r + 1:] = np.cumprod(-ham.offdiag / bwd[r + 1:])
     norm2 = float(z @ z)
     return z / math.sqrt(norm2), sigma + float(gamma[r]) / norm2
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse import diags
 from scipy.special import kv
 
 from anharm2d import numeric
@@ -79,17 +80,6 @@ class TestRadialGrid:
 
 
 class TestAssemble:
-    def test_symmetry(self, sec3):
-        g = build_grid(sec3.params, 64)
-        ham = assemble(sec3.params, 0, g)
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            u = rng.standard_normal(64)
-            v = rng.standard_normal(64)
-            lhs = ham.matvec(u) @ v
-            rhs = u @ ham.matvec(v)
-            assert lhs == pytest.approx(rhs, rel=1e-12)
-
     def test_diag_bounded_below_by_potential(self, sec3):
         g = build_grid(sec3.params, 128)
         ham = assemble(sec3.params, 0, g)
@@ -101,20 +91,44 @@ class TestAssemble:
     def test_offdiag_strictly_negative(self, sec3):
         g = build_grid(sec3.params, 64)
         ham = assemble(sec3.params, 0, g)
-        assert np.all(ham.offdiag < 0.0)
+        assert type(ham.offdiag) is float
+        assert ham.offdiag == -1.0 / g.h**2
+        assert ham.offdiag < 0.0
 
 
 def laplacian_hamiltonian(n: int, length: float) -> DiscreteHamiltonian:
     grid = RadialGrid(r_min=1e-9, r_max=length, n=n)
     h = grid.h
     return DiscreteHamiltonian(
-        diag=np.full(n, 2.0 / h**2), offdiag=np.full(n - 1, -1.0 / h**2), grid=grid
+        diag=np.full(n, 2.0 / h**2), offdiag=-1.0 / h**2, grid=grid
     )
+
+
+def offdiag_entries(ham: DiscreteHamiltonian) -> np.ndarray:
+    """The stencil's one coupling as the n - 1 off-diagonal entries scipy takes."""
+    return np.full(ham.n - 1, ham.offdiag)
+
+
+def apply(ham: DiscreteHamiltonian, v: np.ndarray) -> np.ndarray:
+    """H v, with H built as a scipy sparse matrix."""
+    e = offdiag_entries(ham)
+    return diags([e, ham.diag, e], [-1, 0, 1]) @ v
 
 
 def library_pair(ham: DiscreteHamiltonian) -> np.ndarray:
     """The two lowest eigenvalues from scipy's LAPACK tridiagonal solver."""
-    return eigh_tridiagonal(ham.diag, ham.offdiag, eigvals_only=True, select="i", select_range=(0, 1))
+    return eigh_tridiagonal(
+        ham.diag, offdiag_entries(ham), eigvals_only=True, select="i", select_range=(0, 1)
+    )
+
+
+def unit_stencil(tiny_pivot: float) -> DiscreteHamiltonian:
+    """The unscaled 16-point stencil (2 on the diagonal, -1 off it), with
+    diag[0] = tiny_pivot when that is nonzero."""
+    diag = np.full(16, 2.0)
+    if tiny_pivot:
+        diag[0] = tiny_pivot
+    return DiscreteHamiltonian(diag=diag, offdiag=-1.0, grid=RadialGrid(1.0, 2.0, 16))
 
 
 def rounding_floor(ham: DiscreteHamiltonian) -> float:
@@ -143,7 +157,7 @@ class TestEigensolver:
         ham = assemble(sec3.params, 0, g)
         mine = lowest_eigenvalues(ham, 2)
         ref_vals, ref_vecs = eigh_tridiagonal(
-            ham.diag, ham.offdiag, select="i", select_range=(0, 1)
+            ham.diag, offdiag_entries(ham), select="i", select_range=(0, 1)
         )
         assert np.allclose(mine.eigenvalues, ref_vals, rtol=1e-12, atol=1e-10)
         for i in range(2):
@@ -156,7 +170,7 @@ class TestEigensolver:
         bound = 1e-8 * np.max(np.abs(ham.diag))
         for lam, vec in zip(result.eigenvalues, result.eigenvectors):
             assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-12)
-            assert np.linalg.norm(ham.matvec(vec) - lam * vec) <= bound
+            assert np.linalg.norm(apply(ham, vec) - lam * vec) <= bound
 
     def test_sign_convention(self, sec3):
         g = build_grid(sec3.params, 500)
@@ -170,17 +184,14 @@ class TestEigensolver:
         ham = assemble(sec3.params, 0, g)
         assert sturm_count(ham, 0.0) == 1
 
-    @pytest.mark.parametrize("zero_pivot", [False, True])
-    def test_count_only_pass_matches_pivots_and_library(self, zero_pivot):
+    @pytest.mark.parametrize("tiny_pivot", [None, 0.0, 1e-310])
+    def test_sturm_count_matches_pivots_and_library(self, tiny_pivot):
         # sec3 grid, or the unscaled stencil whose second pivot at shift 1
         # is exactly 0: 2 - 1 - 1/1 (no eigenvalue is 1, since 17 is not a
-        # multiple of 3)
-        if zero_pivot:
-            ham = DiscreteHamiltonian(diag=np.full(16, 2.0), offdiag=np.full(15, -1.0),
-                                      grid=RadialGrid(1.0, 2.0, 16))
-        else:
-            ham = sec3_hamiltonian(400)
-        every = eigh_tridiagonal(ham.diag, ham.offdiag, eigvals_only=True)
+        # multiple of 3), or whose first pivot at shift diag[0] = 1e-310 is
+        # exactly 0; both counts go through the guarded fallback
+        ham = sec3_hamiltonian(400) if tiny_pivot is None else unit_stencil(tiny_pivot)
+        every = eigh_tridiagonal(ham.diag, offdiag_entries(ham), eigvals_only=True)
         low = every[:4]
         step = 1e-6 * np.diff(every[:5])
         shifts = [*(low - step), *(low + step), *ham.diag[:3], ham.diag[-1], 1.0,
@@ -198,24 +209,17 @@ class TestEigensolver:
         # below pivmin: the second, exactly 0, at shift 1 (2 - 1 - 1/1), or
         # the first, subnormal, at shift 0 when diag[0] is 1e-310.  The
         # reference guards every element.
-        if tiny_pivot is None:
-            ham = sec3_hamiltonian(400)
-        else:
-            diag = np.full(16, 2.0)
-            if tiny_pivot:
-                diag[0] = tiny_pivot
-            ham = DiscreteHamiltonian(diag=diag, offdiag=np.full(15, -1.0),
-                                      grid=RadialGrid(1.0, 2.0, 16))
-        every = eigh_tridiagonal(ham.diag, ham.offdiag, eigvals_only=True)
+        ham = sec3_hamiltonian(400) if tiny_pivot is None else unit_stencil(tiny_pivot)
+        every = eigh_tridiagonal(ham.diag, offdiag_entries(ham), eigvals_only=True)
         low = every[:4]
         step = 1e-6 * np.diff(every[:5])
         shifts = [*(low - step), *(low + step), *ham.diag[:3], ham.diag[-1], 0.0, 1.0,
                   *_gershgorin_bounds(ham)]
         d, e2, pivmin = ham._recurrence
         for x in shifts:
-            reference, q = [], 1.0
-            for di, ei2 in zip(d, e2):
-                q = di - float(x) - ei2 / q
+            reference, q = [], math.inf
+            for di in d:
+                q = di - float(x) - e2 / q
                 if abs(q) < pivmin:
                     q = -pivmin
                 reference.append(q)
@@ -392,7 +396,7 @@ class TestConvergence:
             g = build_grid(sec3.params, n)
             ham = assemble(sec3.params, 0, g)
             rvec = radial_eval(sec3.ground, g.points())
-            res = ham.matvec(rvec) - sec3.e0 * rvec
+            res = apply(ham, rvec) - sec3.e0 * rvec
             norms.append(np.max(np.abs(res)) / np.max(np.abs(rvec)))
         assert norms[0] / norms[1] == pytest.approx(4.0, rel=0.15)
 
@@ -511,9 +515,9 @@ class TestVerify:
         assert [ham.n for ham, _ in solved] == [1000, 2000, 8000, 16000, 32000]
         for ham, result in solved:
             scale = float(np.max(np.abs(ham.diag)))
-            _, ref = eigh_tridiagonal(ham.diag, ham.offdiag, select="i", select_range=(0, 1))
+            _, ref = eigh_tridiagonal(ham.diag, offdiag_entries(ham), select="i", select_range=(0, 1))
             for lam, v, u in zip(result.eigenvalues, result.eigenvectors, ref.T):
-                assert np.linalg.norm(ham.matvec(v) - lam * v) <= 1e-12 * scale
+                assert np.linalg.norm(apply(ham, v) - lam * v) <= 1e-12 * scale
                 assert 1.0 - abs(v @ u) <= 1e-12
             assert [node_count(v) for v in result.eigenvectors] == [0, 1]
 
