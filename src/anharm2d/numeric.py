@@ -5,12 +5,13 @@ second-order central differences on a truncated uniform grid, extracts the
 low spectrum from scratch (no library eigensolver) and provides Simpson
 quadrature for normalization, overlaps and convergence diagnostics.  Each
 eigenvalue is isolated by Sturm counts, first around a prediction from
-coarser grids (never from the closed form) and by bisection only where the
-prediction misses, then refined by at most three Rayleigh-quotient steps
-on twisted-factorization eigenvectors, the last being the first whose
-correction is at rounding level.  Two small scout grids ahead of the
-convergence grids supply the first predictions, so bisection from the
-Gershgorin bounds runs only on the smallest of them.
+coarser grids (never from the closed form), galloping outward from it where
+it misses, then refined by at most three Rayleigh-quotient steps on
+twisted-factorization eigenvectors, the last being the first whose
+correction is at rounding level.  Each step sweeps backward over the whole
+grid but forward only up to the eigenvector's peak.  Two small scout grids
+ahead of the convergence grids supply the first predictions, so bisection
+from the Gershgorin bounds runs only on the smallest of them.
 
 The half-line domain is truncated where both exponential tails of the exact
 states fall below exp(-T) of their peak scale (T = 45 by default, or the
@@ -138,16 +139,17 @@ def _pivots(d: list, e2: float, lam: float, pivmin: float) -> tuple[int, np.ndar
     and how many are negative: the Sturm count of lam.  A pivot smaller than
     pivmin in magnitude is replaced by -pivmin, so it counts either way.
 
-    The sweep runs unguarded over Python floats, several times faster than
-    indexing numpy arrays element by element.  Only when it divides by an
-    exact zero, or leaves a pivot that is not >= pivmin in magnitude, is it
-    redone with the guard on every element; otherwise the guard would not
-    have fired, so the pivots are the same bit for bit.  lam is made a
+    The sweep runs unguarded over Python floats straight into the array
+    (np.fromiter, no intermediate list), several times faster than indexing
+    numpy arrays element by element.  Only when it divides by an exact
+    zero, or leaves a pivot that is not >= pivmin in magnitude, is it redone
+    with the guard on every element; otherwise the guard would not have
+    fired, so the pivots are the same bit for bit.  lam is made a
     Python float so that a zero pivot raises instead of giving inf."""
     lam = float(lam)
     q = math.inf
     try:
-        pivots = np.array([q := di - lam - e2 / q for di in d])
+        pivots = np.fromiter((q := di - lam - e2 / q for di in d), float, len(d))
     except ZeroDivisionError:
         pivots = None
     if pivots is None or not np.all(np.abs(pivots) >= pivmin):
@@ -185,12 +187,25 @@ def _twisted_rayleigh(ham: DiscreteHamiltonian, sigma: float):
     satisfies (T - sigma I) z = gamma_r e_r, so its Rayleigh quotient is
     sigma + gamma_r / |z|^2, and every entry, tails included, carries
     relative accuracy (Parlett & Dhillon, LAA 267, 1997).
+
+    |gamma_r| is smallest where the eigenvector peaks, so only the backward
+    sweep covers the grid.  Its vector grows while |D-_i| < |e|, so it peaks
+    at end, the last such i (0 if none); the forward sweep stops there and r
+    is sought in [0, end], as LAPACK's dlar1v seeks it in a window.  Since
+    gamma_(i+1) / gamma_i = D-_(i+1) / D+_i, the window is kept when |gamma|
+    rises across its edge, |D-_(end+1)| >= |D+_end|; otherwise, as on grids
+    too coarse for the vector to have an interior peak, the forward sweep is
+    redone over the whole grid and r sought everywhere.
     Returns the unit vector and its Rayleigh quotient.
     """
     d, e2, pivmin = ham._recurrence
-    fwd = _pivots(d, e2, sigma, pivmin)[1]
     bwd = _pivots(d[::-1], e2, sigma, pivmin)[1][::-1]
-    gamma = fwd + bwd - (ham.diag - sigma)
+    grows = np.flatnonzero(np.abs(bwd) < abs(ham.offdiag))
+    end = int(grows[-1]) if grows.size else 0
+    fwd = _pivots(d[:end + 1], e2, sigma, pivmin)[1]
+    if end + 1 < ham.n and abs(bwd[end + 1]) < abs(fwd[end]):
+        fwd = _pivots(d, e2, sigma, pivmin)[1]
+    gamma = fwd + bwd[:len(fwd)] - (ham.diag[:len(fwd)] - sigma)
     r = int(np.argmin(np.abs(gamma)))
     z = np.ones(ham.n)
     z[:r] = np.cumprod((-ham.offdiag / fwd[:r])[::-1])[::-1]
@@ -222,20 +237,22 @@ def lowest_eigenvalues(
     goes into one table of (shift, count).  The j-th eigenvalue starts from
     the bracket [a, b] of the largest shift with count <= j-1 and the
     smallest with count >= j, so probes made for earlier eigenvalues bound
-    it too.  When predicted[j-1] = p is given, the shifts
-    p -+ 5e-4*max(|p|, floor) inside the bracket are probed first: if their
-    counts are (j-1, j), that bracket already passes the test below.
-    Otherwise (no, a non-finite or a wrong prediction) bisection
-    narrows the bracket until sturm_count(a) = j-1, sturm_count(b) = j and
-    b - a is within 1e-3 of its endpoints.  Rayleigh-quotient steps on
-    twisted-factorization vectors then refine the pair from the bracket
-    midpoint, stopping after the first step that moves the quotient by at
-    most eps * max(|lo|, |hi|), lo and hi the Gershgorin ends, or after
-    three; the pair is that step's vector and quotient.  The result is
-    certified by its Rayleigh quotient lying inside
-    the isolating bracket, whatever produced the bracket, which also makes
-    the eigenvalues ascend with none skipped; otherwise ConvergenceError is
-    raised.
+    it too.  When predicted[j-1] = p is given, the shifts p -+ delta*4^i,
+    delta = 5e-4*max(|p|, floor), i = 0..11, are probed first in that
+    order, each only while it lies inside the bracket: if the counts at
+    p -+ delta are (j-1, j), that bracket already passes the test below,
+    and a prediction that misses gallops outward until a probe lands past
+    the eigenvalue.  Then (or with no, a non-finite or a far-off prediction)
+    bisection narrows the bracket until sturm_count(a) = j-1,
+    sturm_count(b) = j and b - a is within 1e-3 of its endpoints.
+    Rayleigh-quotient steps on twisted-factorization vectors then refine
+    the pair from the bracket midpoint, stopping after the first step that
+    moves the quotient by at most eps * max(|lo|, |hi|), lo and hi the
+    Gershgorin ends, or after three; the pair is that step's vector and
+    quotient.  The result is certified by its Rayleigh quotient lying
+    inside the isolating bracket, whatever produced the bracket, which also
+    makes the eigenvalues ascend with none skipped; otherwise
+    ConvergenceError is raised.
     """
     n = ham.n
     if not 1 <= k <= n:
@@ -250,7 +267,8 @@ def lowest_eigenvalues(
     for j in range(1, k + 1):
         p = float(predicted[j - 1]) if j <= len(predicted) else math.nan
         delta = 5e-4 * max(abs(p), floor)
-        guesses = [p - delta, p + delta]  # dropped once outside the bracket, as NaN always is
+        # galloping out from p; a guess is dropped once outside the bracket, as NaN always is
+        guesses = [p + sign * delta * 4.0**i for i in range(12) for sign in (-1.0, 1.0)]
         while True:
             a, count_a = max(probe for probe in probes if probe[1] <= j - 1)
             b, count_b = min(probe for probe in probes if probe[1] >= j)
@@ -342,7 +360,12 @@ def normalization_constant(state: ClosedFormState, grid: RadialGrid) -> float:
 
 def overlap(s1: ClosedFormState, s2: ClosedFormState, grid: RadialGrid) -> float:
     """Normalized overlap integral of two closed-form states (in [-1, 1])."""
-    scale = math.sqrt(_norm_integral(s1, grid) * _norm_integral(s2, grid))
+    return _cosine(s1, s2, grid, _norm_integral(s1, grid), _norm_integral(s2, grid))
+
+
+def _cosine(s1: ClosedFormState, s2: ClosedFormState, grid: RadialGrid, i1: float, i2: float) -> float:
+    """overlap(s1, s2, grid) from the norm integrals i1 and i2 of s1 and s2."""
+    scale = math.sqrt(i1 * i2)
     # orthogonal pairs cancel to ~0; resolve the cosine itself to 1e-11
     cross = quadrature(
         lambda r: radial_eval(s1, r) * radial_eval(s2, r), grid, abs_tol=1e-11 * scale
@@ -364,8 +387,9 @@ def _error_table(params: PotentialParams, m: int, exact: tuple, n_list):
     predicted eigenvalues from the grids before it, never from exact: the
     previous grid's eigenvalues, or, after two grids, their h^2
     extrapolation to this grid's h.  A good prediction costs two Sturm
-    passes per eigenvalue; a poor one falls back to bisection, as the
-    first grid solved, having none, always does."""
+    passes per eigenvalue; a poor one gallops outward from the prediction
+    and bisects its last step.  The first grid solved, having none, is
+    bisected from Gershgorin."""
     scouts = [s for s in (n_list[0] // 8, n_list[0] // 4) if s >= MIN_GRID_POINTS]
     hs, found = [], []
     for n in [*scouts, *n_list]:
@@ -430,13 +454,14 @@ def verify(a: float, m: int, n: int = 4000) -> VerificationReport:
 
     Solves the closed form, discretizes, extracts the two lowest eigenpairs,
     counts nodes, measures the ground/excited overlap and normalization
-    constants, and fits the h^2 error model across {n/4, n/2, n}; n >= 64
+    constants (the norm integral of each state computed once and shared by
+    both), and fits the h^2 error model across {n/4, n/2, n}; n >= 64
     keeps the coarsest of those grids at its 16-point minimum or above.
     Scout grids of n/32 and n/16 points, where they reach that minimum, are
     solved first.  The first grid solved has no prediction and is bisected
     from Gershgorin; every later grid, n/4 included once a scout precedes it,
     is predicted from the grids before it (see _error_table) and certified
-    by Sturm counts, with bisection only where a prediction misses.  The
+    by Sturm counts, galloping outward where a prediction misses.  The
     report fails if any |E_hat - E| exceeds 10x the fitted model prediction,
     the node counts differ from (0, 1), or the overlap exceeds 1e-8.
     """
@@ -452,8 +477,9 @@ def verify(a: float, m: int, n: int = 4000) -> VerificationReport:
     grid = spectrum.grid
     h_fine, errs_fine = grid.h, errs[:, -1]
     nodes = tuple(node_count(vec) for vec in spectrum.eigenvectors)
-    ov = overlap(joint.ground, joint.excited, grid)
-    norms = tuple(normalization_constant(state, grid) for state in (joint.ground, joint.excited))
+    integrals = [_norm_integral(state, grid) for state in (joint.ground, joint.excited)]
+    ov = _cosine(joint.ground, joint.excited, grid, *integrals)
+    norms = tuple(integral**-0.5 for integral in integrals)
     passed = (
         np.all(errs_fine <= 10.0 * c * h_fine**2)
         and nodes == (0, 1)

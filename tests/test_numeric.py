@@ -142,6 +142,23 @@ def sec3_hamiltonian(n: int) -> DiscreteHamiltonian:
     return assemble(params, 0, build_grid(params, n))
 
 
+def record_twist_sweeps(monkeypatch) -> list:
+    """Patch numeric so that each _twisted_rayleigh call appends to the
+    returned list the lengths of the _pivots sweeps it made."""
+    sizes, twists = [], []
+    real_pivots, real_twisted = numeric._pivots, numeric._twisted_rayleigh
+    monkeypatch.setattr(numeric, "_pivots", lambda d, *rest: sizes.append(len(d)) or real_pivots(d, *rest))
+
+    def twisted(ham, sigma):
+        start = len(sizes)
+        result = real_twisted(ham, sigma)
+        twists.append(sizes[start:])
+        return result
+
+    monkeypatch.setattr(numeric, "_twisted_rayleigh", twisted)
+    return twists
+
+
 class TestEigensolver:
     def test_laplacian_stencil_spectrum(self):
         # eigenvalues of the pure second-difference stencil are known exactly
@@ -265,6 +282,33 @@ class TestEigensolver:
         result = lowest_eigenvalues(ham, 2, ref)
         assert len(shifts) == 4
         assert np.all(np.abs(result.eigenvalues - ref) <= 2.0 * rounding_floor(ham))
+
+    def test_twist_sweeps_forward_only_to_the_peak(self, monkeypatch, sec3):
+        # both vectors peak in the first fifth of the grid, so the forward
+        # sweep stops there; sweeping both ways over the grid passed 2n
+        ham = sec3_hamiltonian(64000)
+        twists = record_twist_sweeps(monkeypatch)
+        for sigma, nodes in ((sec3.e0, 0), (sec3.e1, 1)):
+            v, _ = numeric._twisted_rayleigh(ham, sigma)
+            assert sum(twists[-1]) <= 1.3 * ham.n
+            assert node_count(v) == nodes
+
+    def test_degenerate_stencil_falls_back_to_the_full_twist_search(self, monkeypatch):
+        # with T = 1e6 the 16-point grid has h = 83: at the excited pair's
+        # first shift the backward vector peaks at index 0, yet |gamma| still
+        # falls past it, so the window is rejected and the forward sweep redone
+        monkeypatch.setenv("ANHARM_TAIL_THRESHOLD", "1e6")
+        params = excited_solve(1.0, 0).params
+        ham = assemble(params, 0, build_grid(params, 16))
+        twists = record_twist_sweeps(monkeypatch)
+        result = lowest_eigenvalues(ham, 2)
+        assert any(len(sweeps) == 3 and sweeps[2] == ham.n for sweeps in twists)
+        ref_vals, ref_vecs = eigh_tridiagonal(
+            ham.diag, offdiag_entries(ham), select="i", select_range=(0, 1)
+        )
+        assert np.all(np.abs(result.eigenvalues - ref_vals) <= 2.0 * rounding_floor(ham))
+        for v, u in zip(result.eigenvectors, ref_vecs.T):
+            assert 1.0 - abs(v @ u) <= 1e-12
 
     def test_ascending(self, sec3):
         g = build_grid(sec3.params, 400)
@@ -455,14 +499,16 @@ class TestVerify:
             verify(1.0, 3, 1000)
 
     def test_predicted_brackets_save_sturm_passes(self, monkeypatch):
-        # the 125- and 250-point scouts take the bisection, so each reported
-        # grid costs two passes per eigenvalue; bisecting the 1000-point grid
-        # took 39 passes and 63000 points of Sturm work in all
+        # the 125-point scout takes the bisection, so each reported grid
+        # costs two passes per eigenvalue; bisecting the 1000-point grid took
+        # 39 passes and 63000 points of Sturm work in all, and bisecting the
+        # 250-point scout after its missed prediction took 39 passes
         sizes = []
         real = numeric.sturm_count
         monkeypatch.setattr(numeric, "sturm_count", lambda h, x: sizes.append(h.n) or real(h, x))
         assert verify(1.0, 0, 4000).passed
         assert all(sizes.count(n) <= 4 for n in (1000, 2000, 4000))
+        assert sizes.count(250) <= 20
         assert sum(sizes) <= 50000
 
     def test_predictions_do_not_use_the_exact_energies(self, sec3):
@@ -538,6 +584,20 @@ class TestVerify:
         assert sizes == grids
         assert report.passed
         assert report.node_counts == (0, 1)
+
+    def test_each_norm_integral_is_computed_once(self, monkeypatch, sec3):
+        # overlap and the two normalization constants share the two norm
+        # integrals; computing them separately took 5 quadratures
+        calls = []
+        real = numeric.quadrature
+        monkeypatch.setattr(numeric, "quadrature", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        report = verify(1.0, 0, 1000)
+        assert len(calls) == 3
+        grid = report.grid
+        assert report.overlap_01 == overlap(sec3.ground, sec3.excited, grid)
+        assert report.norm_constants == tuple(
+            normalization_constant(state, grid) for state in (sec3.ground, sec3.excited)
+        )
 
     def test_report_dict_fields(self):
         report = verify(1.0, 0, 1000)
