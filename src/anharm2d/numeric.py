@@ -9,20 +9,21 @@ coarser grids (never from the closed form), galloping outward from it where
 it misses, then refined by at most three Rayleigh-quotient steps on
 twisted-factorization eigenvectors, the last being the first whose
 correction is at rounding level.  Each step sweeps backward over the whole
-grid but forward only up to the eigenvector's peak.  Two small scout grids
-ahead of the convergence grids supply the first predictions, so bisection
-from the Gershgorin bounds runs only on the smallest of them.
+grid but forward only up to the eigenvector's peak; a stencil too coarse
+for its eigenvectors to peak inside the grid fails the certificate with
+ConvergenceError.  Two small scout grids ahead of the convergence grids
+supply the first predictions, so bisection from the Gershgorin bounds runs
+only on the smallest of them.
 
 The half-line domain is truncated where both exponential tails of the exact
-states fall below exp(-T) of their peak scale (T = 45 by default, or the
-ANHARM_TAIL_THRESHOLD environment variable), so Dirichlet endpoints
-introduce error far below the h^2 discretization error.
+states fall below exp(-T) of their peak scale, with T = TAIL_THRESHOLD = 45
+fixed, so Dirichlet endpoints introduce error far below the h^2
+discretization error.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -31,15 +32,13 @@ import numpy as np
 
 from anharm2d.closed_form import (
     ClosedFormState,
-    Level,
     PotentialParams,
     centrifugal_coefficient,
-    constrained_state,
     excited_solve,
     radial_eval,
 )
 
-DEFAULT_TAIL_THRESHOLD = 45.0
+TAIL_THRESHOLD = 45.0  # T: build_grid cuts both tails of the states at exp(-T)
 MIN_GRID_POINTS = 16  # fewest interior points a RadialGrid accepts
 NODE_REL_FLOOR = 1e-12  # node_count ignores entries below this fraction of max|v|
 QUAD_REL_TOL = 1e-10  # quadrature stops when two doublings agree to this
@@ -48,17 +47,6 @@ QUAD_MAX_DOUBLINGS = 20
 
 class ConvergenceError(RuntimeError):
     """An iterative numerical procedure failed to reach its tolerance."""
-
-
-def tail_threshold() -> float:
-    """Truncation threshold T, overridable via ANHARM_TAIL_THRESHOLD.
-
-    Raises ValueError unless T is finite and positive."""
-    raw = os.environ.get("ANHARM_TAIL_THRESHOLD")
-    t = float(raw) if raw else DEFAULT_TAIL_THRESHOLD
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError(f"ANHARM_TAIL_THRESHOLD must be finite and > 0, got {raw!r}")
-    return t
 
 
 @dataclass(frozen=True)
@@ -93,9 +81,8 @@ def build_grid(params: PotentialParams, n: int) -> RadialGrid:
     exp(-sqrt(a) r^2 / 2), giving r_min = sqrt(sqrt(c)/(2T)) and
     r_max = sqrt(2T/sqrt(a)).
     """
-    t = tail_threshold()
-    r_min = math.sqrt(math.sqrt(params.c) / (2.0 * t))
-    r_max = math.sqrt(2.0 * t / math.sqrt(params.a))
+    r_min = math.sqrt(math.sqrt(params.c) / (2.0 * TAIL_THRESHOLD))
+    r_max = math.sqrt(2.0 * TAIL_THRESHOLD / math.sqrt(params.a))
     return RadialGrid(r_min=r_min, r_max=r_max, n=n)
 
 
@@ -191,11 +178,12 @@ def _twisted_rayleigh(ham: DiscreteHamiltonian, sigma: float):
     |gamma_r| is smallest where the eigenvector peaks, so only the backward
     sweep covers the grid.  Its vector grows while |D-_i| < |e|, so it peaks
     at end, the last such i (0 if none); the forward sweep stops there and r
-    is sought in [0, end], as LAPACK's dlar1v seeks it in a window.  Since
-    gamma_(i+1) / gamma_i = D-_(i+1) / D+_i, the window is kept when |gamma|
-    rises across its edge, |D-_(end+1)| >= |D+_end|; otherwise, as on grids
-    too coarse for the vector to have an interior peak, the forward sweep is
-    redone over the whole grid and r sought everywhere.
+    is sought in [0, end], as LAPACK's dlar1v seeks it in a window.  On the
+    grids build_grid makes, where |gamma| still falls past end it does so by
+    one index and by < 5e-5 relative, which moves the quotient only at
+    rounding level.  On a stencil too coarse for
+    the vector to peak inside the grid the quotient misses the isolating
+    bracket, and lowest_eigenvalues raises ConvergenceError.
     Returns the unit vector and its Rayleigh quotient.
     """
     d, e2, pivmin = ham._recurrence
@@ -203,9 +191,7 @@ def _twisted_rayleigh(ham: DiscreteHamiltonian, sigma: float):
     grows = np.flatnonzero(np.abs(bwd) < abs(ham.offdiag))
     end = int(grows[-1]) if grows.size else 0
     fwd = _pivots(d[:end + 1], e2, sigma, pivmin)[1]
-    if end + 1 < ham.n and abs(bwd[end + 1]) < abs(fwd[end]):
-        fwd = _pivots(d, e2, sigma, pivmin)[1]
-    gamma = fwd + bwd[:len(fwd)] - (ham.diag[:len(fwd)] - sigma)
+    gamma = fwd + bwd[:end + 1] - (ham.diag[:end + 1] - sigma)
     r = int(np.argmin(np.abs(gamma)))
     z = np.ones(ham.n)
     z[:r] = np.cumprod((-ham.offdiag / fwd[:r])[::-1])[::-1]
@@ -410,17 +396,6 @@ def _error_table(params: PotentialParams, m: int, exact: tuple, n_list):
 def _order(hs: np.ndarray, errs: np.ndarray) -> float:
     """Least-squares slope of log(err) against log(h)."""
     return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
-
-
-def convergence_study(params: PotentialParams, m: int, n_list) -> float:
-    """Empirical order q of |E0_hat(h) - E0| ~ h^q across the resolutions,
-    with E0 the energy of constrained_state's ground state for (params, m)."""
-    n_list = sorted(n_list)
-    if len(n_list) < 3:
-        raise ValueError("convergence study needs at least 3 resolutions")
-    e0 = constrained_state(params, m, Level.GROUND).energy
-    hs, errs, _ = _error_table(params, m, (e0,), n_list)
-    return _order(hs, errs[0])
 
 
 def richardson(e_coarse: float, h_coarse: float, e_fine: float, h_fine: float) -> float:

@@ -17,12 +17,12 @@ from anharm2d.closed_form import excited_solve, radial_eval
 from anharm2d.numeric import (
     assemble,
     build_grid,
-    convergence_study,
     lowest_eigenvalues,
     node_count,
     overlap,
     quadrature,
     richardson,
+    verify,
 )
 from tests.test_closed_form import rel_excited_residual, rel_ground_residual
 
@@ -72,7 +72,7 @@ def test_criterion_2_spectral_oracle(capsys):
     rich_errs = np.abs(extrapolated - exact)
     assert np.all(rich_errs <= 1e-4)
 
-    order = convergence_study(joint.params, 0, [1000, 2000, 4000])
+    order = verify(1.0, 0, 4000).convergence_order  # grids [1000, 2000, 4000]
     assert 1.8 <= order <= 2.2
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0

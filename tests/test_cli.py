@@ -261,12 +261,15 @@ class TestVerifyCommand:
         assert code in {2, 3, 4, 5}
         assert err.startswith("error: ")
 
-    def test_zero_norm_integral_exits_4(self, capsys, monkeypatch):
-        # with T = 1e6 the grid is [1e-3, 1414]; the coarse Simpson samples all underflow to 0
-        monkeypatch.setenv("ANHARM_TAIL_THRESHOLD", "1e6")
-        code, out, err = run(capsys, "verify", "--a", "1", "--grid-n", "256")
-        assert (code, out) == (4, "")
-        assert "norm integral" in err
+    def test_zero_norm_integral_exits_4(self, capsys):
+        # at m = 300 the ground state peaks at r = 0.55, past the grid
+        # [0.0033, 0.3], where every Simpson sample of |R|^2 underflows to 0
+        state = ["--state", "ground", "--a", "1e6", "--c", "1e-6", "--m", "300",
+                 "--b", "0.59800666662963"]
+        for argv in (["normalize", *state], ["eval", "--normalize", *state, "--samples", "3"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (4, "")
+            assert "norm integral" in err and "is 0.0" in err
 
     def test_failed_report_exits_5(self, capsys, monkeypatch):
         real = cli.verify

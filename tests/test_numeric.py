@@ -20,7 +20,6 @@ from anharm2d.numeric import (
     _pivots,
     assemble,
     build_grid,
-    convergence_study,
     lowest_eigenvalues,
     node_count,
     normalization_constant,
@@ -60,17 +59,6 @@ class TestRadialGrid:
         assert r[0] == pytest.approx(g.r_min + g.h)
         assert r[-1] == pytest.approx(g.r_max - g.h)
         assert np.allclose(np.diff(r), g.h)
-
-    def test_env_threshold_override(self, sec3, monkeypatch):
-        monkeypatch.setenv("ANHARM_TAIL_THRESHOLD", "90")
-        g = build_grid(sec3.params, 100)
-        assert g.r_max == pytest.approx(math.sqrt(180.0), rel=1e-12)
-
-    @pytest.mark.parametrize("raw", ["0", "-3", "nan", "inf"])
-    def test_env_threshold_rejects_nonpositive_or_nonfinite(self, sec3, monkeypatch, raw):
-        monkeypatch.setenv("ANHARM_TAIL_THRESHOLD", raw)
-        with pytest.raises(ValueError, match="ANHARM_TAIL_THRESHOLD"):
-            build_grid(sec3.params, 100)
 
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
@@ -293,22 +281,29 @@ class TestEigensolver:
             assert sum(twists[-1]) <= 1.3 * ham.n
             assert node_count(v) == nodes
 
-    def test_degenerate_stencil_falls_back_to_the_full_twist_search(self, monkeypatch):
-        # with T = 1e6 the 16-point grid has h = 83: at the excited pair's
-        # first shift the backward vector peaks at index 0, yet |gamma| still
-        # falls past it, so the window is rejected and the forward sweep redone
-        monkeypatch.setenv("ANHARM_TAIL_THRESHOLD", "1e6")
-        params = excited_solve(1.0, 0).params
-        ham = assemble(params, 0, build_grid(params, 16))
+    @pytest.mark.parametrize("n", [43, 574])
+    def test_twist_window_ends_at_the_peak(self, monkeypatch, n):
+        # on these grids |gamma| is least one index past the backward vector's
+        # peak; seeking the twist only up to the peak costs rounding, not a
+        # second forward sweep over the grid
+        ham = sec3_hamiltonian(n)
         twists = record_twist_sweeps(monkeypatch)
         result = lowest_eigenvalues(ham, 2)
-        assert any(len(sweeps) == 3 and sweeps[2] == ham.n for sweeps in twists)
+        assert twists and all(len(sweeps) == 2 for sweeps in twists)
         ref_vals, ref_vecs = eigh_tridiagonal(
             ham.diag, offdiag_entries(ham), select="i", select_range=(0, 1)
         )
         assert np.all(np.abs(result.eigenvalues - ref_vals) <= 2.0 * rounding_floor(ham))
         for v, u in zip(result.eigenvectors, ref_vecs.T):
             assert 1.0 - abs(v @ u) <= 1e-12
+
+    def test_degenerate_stencil_fails_the_certificate(self):
+        # cut at T = 1e6 instead of 45, 16 points have h = 83 and a^(1/4) h >> 1:
+        # the excited vector has no interior peak, and no wrong pair is returned
+        params = excited_solve(1.0, 0).params
+        ham = assemble(params, 0, RadialGrid(r_min=1e-3, r_max=1414.2, n=16))
+        with pytest.raises(ConvergenceError, match="isolating bracket"):
+            lowest_eigenvalues(ham, 2)
 
     def test_ascending(self, sec3):
         g = build_grid(sec3.params, 400)
@@ -416,10 +411,6 @@ def _eval_excited(sec3, r):
 
 
 class TestConvergence:
-    def test_order_near_two(self, sec3):
-        q = convergence_study(sec3.params, 0, [500, 1000, 2000])
-        assert 1.8 <= q <= 2.2
-
     def test_error_ratio_near_four(self, sec3):
         errs = []
         for n in (500, 1000):
@@ -427,10 +418,6 @@ class TestConvergence:
             result = lowest_eigenvalues(assemble(sec3.params, 0, g), 1)
             errs.append(abs(result.eigenvalues[0] + 2.0))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
-
-    def test_requires_three_resolutions(self, sec3):
-        with pytest.raises(ValueError):
-            convergence_study(sec3.params, 0, [500, 1000])
 
     def test_discrete_residual_of_exact_state(self, sec3):
         # sampling the closed form on the grid and applying H gives an
@@ -457,7 +444,7 @@ class TestConvergence:
         # Richardson-extrapolated energies isolate the truncation error:
         # doubling T from 45 to 90 moves them by < 1e-8
         def extrapolated(threshold):
-            monkeypatch.setenv("ANHARM_TAIL_THRESHOLD", str(threshold))
+            monkeypatch.setattr(numeric, "TAIL_THRESHOLD", threshold)
             out = []
             for n in (2000, 4000):
                 g = build_grid(sec3.params, n)
