@@ -1,7 +1,8 @@
 """Command-line front end: solve / eval / verify / normalize.
 
-Exit codes: 0 ok, 2 invalid input, 3 constraint or solvability violation,
-4 convergence failure, 5 verification failed.
+Exit codes: 0 ok, 2 invalid input (a size too large to allocate included),
+3 constraint or solvability violation, 4 convergence failure, 5 verification
+failed.
 """
 
 from __future__ import annotations
@@ -64,18 +65,19 @@ def _write_text(path, text: str) -> None:
 
 def cmd_solve(args) -> int:
     joint = excited_solve(args.a, args.m)
+    g, x = joint.ground, joint.excited
     doc = {
         "a": joint.params.a,
         "m": joint.m,
         "c": joint.params.c,
         "b": joint.params.b,
-        "kappa": joint.kappa,
-        "kappa1": joint.kappa1,
-        "E0": joint.e0,
-        "E1": joint.e1,
-        "a1": joint.a1,
-        "a2": joint.a2,
-        "a3": joint.a3,
+        "kappa": g.kappa,
+        "kappa1": x.kappa,
+        "E0": g.energy,
+        "E1": x.energy,
+        "a1": x.poly_c0,
+        "a2": x.poly_c2,
+        "a3": x.poly_cm2,
     }
     _write_text(args.out, json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
@@ -178,7 +180,7 @@ def main(argv=None) -> int:
         # the cmd_* function is looked up now, not when the parser was built,
         # so that one replaced on the module (by a test or a tracer) is called
         return globals()[f"cmd_{args.command}"](args)
-    except (ConvergenceError, ValueError) as exc:  # SolvabilityError is a ValueError
+    except (ConvergenceError, ValueError, MemoryError) as exc:  # SolvabilityError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, SolvabilityError):
             return EXIT_CONSTRAINT

@@ -15,7 +15,8 @@ and the first excited state (same m) adds the prefactor
 sqrt(a) r^2 - sqrt(c) r^-2 with its own exponent kappa1 = (b + 7 sqrt(c)) /
 (2 sqrt(c)), valid when b = -6 sqrt(c).  Both states coexist only when
 m^2 + 2 sqrt(ac) = 4, which pins c = ((4 - m^2)/2)^2 / a and forces m in
-{0, 1}; see excited_solve.
+{0, 1}; see excited_solve, which builds that joint pair through the same
+gate, constrained_state, as any other (a, b, c, m).
 
 Both states share one form (ClosedFormState), so one evaluator, radial_eval,
 and one node-safe eigen_residual serve both levels.  constrained_state is the
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,15 +123,6 @@ class ClosedFormState:
             raise ValueError("ground state must have a constant prefactor")
         if self.level is Level.EXCITED and self.poly_c0 != 0.0:
             raise ValueError("excited state prefactor has no constant term")
-
-    def scaled(self, factor: float) -> "ClosedFormState":
-        """Same state with the prefactor multiplied by `factor`."""
-        return replace(
-            self,
-            poly_c2=factor * self.poly_c2,
-            poly_c0=factor * self.poly_c0,
-            poly_cm2=factor * self.poly_cm2,
-        )
 
 
 def _check_positive_radius(r):
@@ -312,17 +304,13 @@ def constrained_state(params: PotentialParams, m: int, level: Level) -> ClosedFo
 
 @dataclass(frozen=True)
 class JointSolution:
-    """Parameter set for which both closed-form states are simultaneously exact."""
+    """Parameter set for which both closed-form states are simultaneously exact.
+
+    Every derived value lives on the states: kappa and E0 on ground, kappa1,
+    E1 and the prefactor coefficients on excited."""
 
     params: PotentialParams
     m: int
-    kappa: float
-    kappa1: float
-    e0: float
-    e1: float
-    a1: float
-    a2: float
-    a3: float
     ground: ClosedFormState
     excited: ClosedFormState
 
@@ -337,7 +325,9 @@ def excited_solve(a: float, m: int) -> JointSolution:
         kappa = -3/2 (Minus branch), kappa1 = 1/2,
         E0 = -2 sqrt(a),             E1 = 6 sqrt(a).
 
-    Only m in {0, 1} is solvable; m >= 2 would need sqrt(ac) <= 0.
+    Only m in {0, 1} is solvable; m >= 2 would need sqrt(ac) <= 0.  Both
+    states come from constrained_state, so the pair passes the same gate
+    as an explicit (a, b, c, m).
     """
     if not math.isfinite(a):
         raise ValueError(f"a must be finite, got {a}")
@@ -353,20 +343,10 @@ def excited_solve(a: float, m: int) -> JointSolution:
     c = sqrt_ac**2 / a
     if math.isinf(c):
         raise ValueError(f"a is too small: c = {sqrt_ac**2}/a overflows at a = {a}")
-    b = -6.0 * math.sqrt(c)
-    params = PotentialParams(a=a, b=b, c=c)
-    g = ground_state(params, m, SignBranch.MINUS)
-    x = excited_state(params)
+    params = PotentialParams(a=a, b=-6.0 * math.sqrt(c), c=c)
     return JointSolution(
         params=params,
         m=m,
-        kappa=g.kappa,
-        kappa1=x.kappa,
-        e0=g.energy,
-        e1=x.energy,
-        a1=0.0,
-        a2=x.poly_c2,
-        a3=x.poly_cm2,
-        ground=g,
-        excited=x,
+        ground=constrained_state(params, m, Level.GROUND),
+        excited=constrained_state(params, m, Level.EXCITED),
     )

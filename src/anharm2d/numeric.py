@@ -93,7 +93,6 @@ class DiscreteHamiltonian:
 
     diag: np.ndarray
     offdiag: float
-    grid: RadialGrid
 
     @property
     def n(self) -> int:
@@ -114,7 +113,7 @@ def assemble(params: PotentialParams, m: int, grid: RadialGrid) -> DiscreteHamil
     r = grid.points()
     h = grid.h
     diag = 2.0 / h**2 + params.evaluate(r) + centrifugal_coefficient(m) / r**2
-    return DiscreteHamiltonian(diag=diag, offdiag=-1.0 / h**2, grid=grid)
+    return DiscreteHamiltonian(diag=diag, offdiag=-1.0 / h**2)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +209,6 @@ class SpectrumResult:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # shape (k, n)
-    grid: RadialGrid
 
 
 def lowest_eigenvalues(
@@ -285,7 +283,7 @@ def lowest_eigenvalues(
             v = -v
         values.append(rho)
         vectors.append(v)
-    return SpectrumResult(eigenvalues=np.array(values), eigenvectors=np.array(vectors), grid=ham.grid)
+    return SpectrumResult(eigenvalues=np.array(values), eigenvectors=np.array(vectors))
 
 
 def node_count(v: np.ndarray) -> int:
@@ -365,7 +363,7 @@ def _cosine(s1: ClosedFormState, s2: ClosedFormState, grid: RadialGrid, i1: floa
 
 def _error_table(params: PotentialParams, m: int, exact: tuple, n_list):
     """Spacings h over the ascending n_list, |eigenvalue - exact| per level
-    (one row per entry of exact) and the spectrum on the finest grid.
+    (one row per entry of exact), and the finest grid and its spectrum.
 
     Two scout grids of n_list[0] // 8 and n_list[0] // 4 points, each kept
     only if it has MIN_GRID_POINTS, are solved first; their eigenvalues
@@ -390,7 +388,8 @@ def _error_table(params: PotentialParams, m: int, exact: tuple, n_list):
         hs.append(h)
         found.append(spectrum.eigenvalues)
     reported = slice(len(scouts), None)
-    return np.array(hs[reported]), np.abs(np.array(found[reported]) - np.array(exact)).T, spectrum
+    errs = np.abs(np.array(found[reported]) - np.array(exact)).T
+    return np.array(hs[reported]), errs, grid, spectrum
 
 
 def _order(hs: np.ndarray, errs: np.ndarray) -> float:
@@ -443,13 +442,12 @@ def verify(a: float, m: int, n: int = 4000) -> VerificationReport:
     if n < 64:
         raise ValueError(f"verify needs n >= 64 grid points (its coarsest grid has n // 4), got {n}")
     joint = excited_solve(a, m)
-    exact = (joint.e0, joint.e1)
-    hs, errs, spectrum = _error_table(joint.params, m, exact, [n // 4, n // 2, n])
+    exact = (joint.ground.energy, joint.excited.energy)
+    hs, errs, grid, spectrum = _error_table(joint.params, m, exact, [n // 4, n // 2, n])
     order = _order(hs, errs[0])
     # least-squares fit of err = C h^2, one constant per level
     c = np.sum(errs * hs**2, axis=1) / np.sum(hs**4)
 
-    grid = spectrum.grid
     h_fine, errs_fine = grid.h, errs[:, -1]
     nodes = tuple(node_count(vec) for vec in spectrum.eigenvectors)
     integrals = [_norm_integral(state, grid) for state in (joint.ground, joint.excited)]

@@ -37,12 +37,12 @@ def test_criterion_1_joint_parameter_reproduction(capsys):
     elapsed = time.perf_counter() - t0
     assert joint.params.c == 4.0
     assert joint.params.b == -12.0
-    assert joint.kappa == -1.5
-    assert joint.kappa1 == 0.5
-    assert joint.a2 == 1.0
-    assert joint.a3 == -2.0
-    assert joint.e0 == -2.0
-    assert joint.e1 == 6.0
+    assert joint.ground.kappa == -1.5
+    assert joint.excited.kappa == 0.5
+    assert joint.excited.poly_c2 == 1.0
+    assert joint.excited.poly_cm2 == -2.0
+    assert joint.ground.energy == -2.0
+    assert joint.excited.energy == 6.0
     assert elapsed < 1e-3
 
     code = cli.main(["solve", "--a", "1.0", "--m", "0"])

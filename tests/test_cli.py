@@ -349,6 +349,18 @@ class TestMain:
         code, _, _ = run(capsys, "solve", "--a", "2")
         assert (code, seen) == (0, [2.0])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("eval", "--a", "1", "--samples", "1000000000000000"),
+         ("verify", "--a", "1", "--grid-n", "10000000000000000")],
+    )
+    def test_size_too_large_to_allocate_exits_2(self, capsys, argv):
+        # petabytes, past any 64-bit address space: the allocation fails at
+        # once, and used to end in a numpy MemoryError traceback
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
 
 class TestPipelines:
     @pytest.mark.parametrize("a, m", [(0.3, 1), (2.0, 0), (7.0, 0), (7.0, 1), (1e6, 1)])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anharm2d import closed_form
 from anharm2d.closed_form import (
+    JointSolution,
     Level,
     PotentialParams,
     ConstraintViolation,
@@ -21,6 +24,7 @@ from anharm2d.closed_form import (
     ground_state,
     radial_eval,
 )
+from anharm2d.numeric import DiscreteHamiltonian, SpectrumResult
 
 LOG_RADII = np.logspace(-1, 1, 100)
 
@@ -257,15 +261,15 @@ class TestExcitedSolve:
     def test_sec3_values(self):
         j = excited_solve(1.0, 0)
         assert (j.params.c, j.params.b) == (4.0, -12.0)
-        assert (j.kappa, j.kappa1) == (-1.5, 0.5)
-        assert (j.e0, j.e1) == (-2.0, 6.0)
-        assert (j.a1, j.a2, j.a3) == (0.0, 1.0, -2.0)
+        assert (j.ground.kappa, j.excited.kappa) == (-1.5, 0.5)
+        assert (j.ground.energy, j.excited.energy) == (-2.0, 6.0)
+        assert (j.excited.poly_c0, j.excited.poly_c2, j.excited.poly_cm2) == (0.0, 1.0, -2.0)
 
     def test_m1_family(self):
         j = excited_solve(1.0, 1)
         assert j.params.c == pytest.approx(9.0 / 4.0)
         assert j.params.b == pytest.approx(-9.0)
-        assert (j.e0, j.e1) == (-2.0, 6.0)
+        assert (j.ground.energy, j.excited.energy) == (-2.0, 6.0)
         assert np.all(rel_ground_residual(j.ground, j.params, 1, LOG_RADII) <= 1e-12)
         assert np.all(rel_excited_residual(j.excited, j.params, 1, LOG_RADII) <= 1e-12)
 
@@ -285,6 +289,26 @@ class TestExcitedSolve:
         assert constrained_state(j.params, m, Level.GROUND) == j.ground
         assert constrained_state(j.params, m, Level.EXCITED) == j.excited
 
+    def test_each_value_has_one_owner(self, monkeypatch):
+        # the joint states come through the gate, and no record copies a
+        # value that its states, or the grid, already hold
+        def names(cls):
+            return tuple(field.name for field in dataclasses.fields(cls))
+
+        assert names(JointSolution) == ("params", "m", "ground", "excited")
+        assert names(DiscreteHamiltonian) == ("diag", "offdiag")
+        assert names(SpectrumResult) == ("eigenvalues", "eigenvectors")
+        levels = []
+        real = closed_form.constrained_state
+
+        def gate(params, m, level):
+            levels.append(level)
+            return real(params, m, level)
+
+        monkeypatch.setattr(closed_form, "constrained_state", gate)
+        excited_solve(1.0, 0)
+        assert levels == [Level.GROUND, Level.EXCITED]
+
     @pytest.mark.parametrize("a", [0.25, 1.0, 4.0, 10.0])
     @pytest.mark.parametrize("m", [0, 1])
     def test_joint_algebra(self, a, m):
@@ -292,8 +316,8 @@ class TestExcitedSolve:
         assert ground_constraint_b(a, j.params.c, m, SignBranch.MINUS) == pytest.approx(
             j.params.b, rel=1e-14
         )
-        assert j.kappa1 == 0.5
-        assert j.e1 - j.e0 == pytest.approx(8.0 * math.sqrt(a), rel=1e-14)
+        assert j.excited.kappa == 0.5
+        assert j.excited.energy - j.ground.energy == pytest.approx(8.0 * math.sqrt(a), rel=1e-14)
         assert np.all(rel_ground_residual(j.ground, j.params, m, LOG_RADII) <= 1e-12)
         assert np.all(rel_excited_residual(j.excited, j.params, m, LOG_RADII) <= 1e-12)
 
@@ -301,8 +325,8 @@ class TestExcitedSolve:
     @settings(max_examples=50)
     def test_scaling_covariance(self, a, m):
         j = excited_solve(a, m)
-        assert j.e0 / math.sqrt(a) == pytest.approx(-2.0, rel=1e-12)
-        assert j.e1 / math.sqrt(a) == pytest.approx(6.0, rel=1e-12)
+        assert j.ground.energy / math.sqrt(a) == pytest.approx(-2.0, rel=1e-12)
+        assert j.excited.energy / math.sqrt(a) == pytest.approx(6.0, rel=1e-12)
 
 
 class TestGroundPeakRadius:

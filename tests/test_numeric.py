@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,12 +85,9 @@ class TestAssemble:
         assert ham.offdiag < 0.0
 
 
-def laplacian_hamiltonian(n: int, length: float) -> DiscreteHamiltonian:
-    grid = RadialGrid(r_min=1e-9, r_max=length, n=n)
+def laplacian_hamiltonian(grid: RadialGrid) -> DiscreteHamiltonian:
     h = grid.h
-    return DiscreteHamiltonian(
-        diag=np.full(n, 2.0 / h**2), offdiag=-1.0 / h**2, grid=grid
-    )
+    return DiscreteHamiltonian(diag=np.full(grid.n, 2.0 / h**2), offdiag=-1.0 / h**2)
 
 
 def offdiag_entries(ham: DiscreteHamiltonian) -> np.ndarray:
@@ -116,7 +114,7 @@ def unit_stencil(tiny_pivot: float) -> DiscreteHamiltonian:
     diag = np.full(16, 2.0)
     if tiny_pivot:
         diag[0] = tiny_pivot
-    return DiscreteHamiltonian(diag=diag, offdiag=-1.0, grid=RadialGrid(1.0, 2.0, 16))
+    return DiscreteHamiltonian(diag=diag, offdiag=-1.0)
 
 
 def rounding_floor(ham: DiscreteHamiltonian) -> float:
@@ -151,8 +149,9 @@ class TestEigensolver:
     def test_laplacian_stencil_spectrum(self):
         # eigenvalues of the pure second-difference stencil are known exactly
         n, length = 16, 1.0
-        ham = laplacian_hamiltonian(n, length)
-        h = ham.grid.h
+        grid = RadialGrid(r_min=1e-9, r_max=length, n=n)
+        ham = laplacian_hamiltonian(grid)
+        h = grid.h
         result = lowest_eigenvalues(ham, 3)
         exact = [2.0 / h**2 * (1.0 - math.cos(j * math.pi / (n + 1))) for j in (1, 2, 3)]
         assert np.allclose(result.eigenvalues, exact, rtol=1e-12)
@@ -276,7 +275,7 @@ class TestEigensolver:
         # sweep stops there; sweeping both ways over the grid passed 2n
         ham = sec3_hamiltonian(64000)
         twists = record_twist_sweeps(monkeypatch)
-        for sigma, nodes in ((sec3.e0, 0), (sec3.e1, 1)):
+        for sigma, nodes in ((sec3.ground.energy, 0), (sec3.excited.energy, 1)):
             v, _ = numeric._twisted_rayleigh(ham, sigma)
             assert sum(twists[-1]) <= 1.3 * ham.n
             assert node_count(v) == nodes
@@ -362,7 +361,7 @@ class TestQuadrature:
         j = excited_solve(4.0, 1)
         grid = build_grid(j.params, 100)
         got = quadrature(lambda r: radial_eval(j.ground, r) ** 2, grid)
-        exact = bessel_norm_integral(j.params.a, j.params.c, j.kappa)
+        exact = bessel_norm_integral(j.params.a, j.params.c, j.ground.kappa)
         assert got == pytest.approx(exact, rel=1e-8)
 
     def test_nonconvergence_raises(self, sec3_grid):
@@ -380,12 +379,14 @@ class TestNormalizationAndOverlap:
 
     def test_idempotence(self, sec3, sec3_grid):
         n0 = normalization_constant(sec3.ground, sec3_grid)
-        prenormalized = sec3.ground.scaled(n0)
+        prenormalized = replace(sec3.ground, poly_c0=n0)
         assert normalization_constant(prenormalized, sec3_grid) == pytest.approx(1.0, rel=1e-9)
 
     def test_homogeneity(self, sec3, sec3_grid):
         n = normalization_constant(sec3.excited, sec3_grid)
-        assert normalization_constant(sec3.excited.scaled(2.0), sec3_grid) == pytest.approx(
+        x = sec3.excited
+        doubled = replace(x, poly_c2=2.0 * x.poly_c2, poly_cm2=2.0 * x.poly_cm2)
+        assert normalization_constant(doubled, sec3_grid) == pytest.approx(
             n / 2.0, rel=1e-10
         )
 
@@ -402,7 +403,7 @@ class TestNormalizationAndOverlap:
         assert overlap(sec3.ground, sec3.ground, sec3_grid) == pytest.approx(1.0, rel=1e-10)
 
     def test_flipped_sign(self, sec3, sec3_grid):
-        flipped = sec3.ground.scaled(-1.0)
+        flipped = replace(sec3.ground, poly_c0=-1.0)
         assert overlap(sec3.ground, flipped, sec3_grid) == pytest.approx(-1.0, rel=1e-10)
 
 
@@ -427,7 +428,7 @@ class TestConvergence:
             g = build_grid(sec3.params, n)
             ham = assemble(sec3.params, 0, g)
             rvec = radial_eval(sec3.ground, g.points())
-            res = apply(ham, rvec) - sec3.e0 * rvec
+            res = apply(ham, rvec) - sec3.ground.energy * rvec
             norms.append(np.max(np.abs(res)) / np.max(np.abs(rvec)))
         assert norms[0] / norms[1] == pytest.approx(4.0, rel=0.15)
 
@@ -501,7 +502,7 @@ class TestVerify:
     def test_predictions_do_not_use_the_exact_energies(self, sec3):
         # the numeric side must not be steered by the values it checks
         ns = [250, 500, 1000]
-        *_, right = _error_table(sec3.params, 0, (sec3.e0, sec3.e1), ns)
+        *_, right = _error_table(sec3.params, 0, (sec3.ground.energy, sec3.excited.energy), ns)
         *_, wrong = _error_table(sec3.params, 0, (1e3, -1e3), ns)
         assert np.array_equal(right.eigenvalues, wrong.eigenvalues)
 
