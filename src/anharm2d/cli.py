@@ -44,14 +44,14 @@ FLOAT_OPTIONS = ("--a", "--b", "--c", "--r-min", "--r-max")
 
 
 def _resolve_state(args) -> tuple[ClosedFormState, PotentialParams]:
-    """Build the requested closed-form state, gated by constrained_state, from
-    the parameters of either the joint solve (only --a given) or explicit --c/--b."""
+    """The requested closed-form state and its parameters: the joint solve's
+    own state when only --a is given, else constrained_state's for explicit --c/--b."""
     if (args.c is None) != (args.b is None):
         raise ValueError("--c and --b must be given together")
     if args.c is None:
-        params = excited_solve(args.a, args.m).params
-    else:
-        params = PotentialParams(a=args.a, b=args.b, c=args.c)
+        joint = excited_solve(args.a, args.m)
+        return getattr(joint, args.state), joint.params
+    params = PotentialParams(a=args.a, b=args.b, c=args.c)
     return constrained_state(params, args.m, Level(args.state)), params
 
 

@@ -20,8 +20,9 @@ gate, constrained_state, as any other (a, b, c, m).
 
 Both states share one form (ClosedFormState), so one evaluator, radial_eval,
 and one node-safe eigen_residual serve both levels.  constrained_state is the
-solvability gate for any (a, b, c, m): the state, or ConstraintViolation if
-b is not the b its level needs to CONSTRAINT_REL_TOL, relative, with no floor.
+solvability gate for any (a, b, c, m) and the only constructor of a state:
+the state, with the only kappa and E formulas, or ConstraintViolation if b
+is not the b its level needs to CONSTRAINT_REL_TOL, relative, with no floor.
 
 All functions here are pure and accept scalars or numpy arrays for r.
 """
@@ -141,13 +142,6 @@ def _like(r, out):
 # Ground state
 # ---------------------------------------------------------------------------
 
-def ground_kappa(m: int, a: float, c: float, branch: SignBranch) -> float:
-    """Power-law exponent kappa = 1/2 +- sqrt(m^2 + 2 sqrt(ac))."""
-    centrifugal_coefficient(m)  # validates m
-    root = math.sqrt(m * m + 2.0 * math.sqrt(a * c))
-    return 0.5 + root if branch is SignBranch.PLUS else 0.5 - root
-
-
 def ground_constraint_b(a: float, c: float, m: int, branch: SignBranch) -> float:
     """The b that makes the ground ansatz exact for the given kappa branch.
 
@@ -165,24 +159,6 @@ def ground_constraint_b(a: float, c: float, m: int, branch: SignBranch) -> float
     return -two_sqrt_c + (root if branch is SignBranch.PLUS else -root)
 
 
-def ground_state(params: PotentialParams, m: int, branch: SignBranch) -> ClosedFormState:
-    """Closed-form ground state for constrained parameters on `branch`."""
-    kappa = ground_kappa(m, params.a, params.c, branch)
-    sqrt_a = math.sqrt(params.a)
-    # E = -(2 kappa + 1) alpha with alpha = -sqrt(a); on the constraint
-    # surface this equals sqrt(a) (4 + b/sqrt(c)) for the branch-matched b.
-    return ClosedFormState(
-        kappa=kappa,
-        alpha=-sqrt_a,
-        beta=-math.sqrt(params.c),
-        poly_c2=0.0,
-        poly_c0=1.0,
-        poly_cm2=0.0,
-        energy=(2.0 * kappa + 1.0) * sqrt_a,
-        level=Level.GROUND,
-    )
-
-
 def ground_peak_radius(state: ClosedFormState) -> float:
     """Unique stationary point of |R0|: the positive root of
     sqrt(a) r^4 - kappa r^2 - sqrt(c) = 0.  For kappa < 0 the root comes
@@ -195,29 +171,6 @@ def ground_peak_radius(state: ClosedFormState) -> float:
     root = math.sqrt(kappa**2 + 4.0 * sqrt_a * sqrt_c)
     r_sq = 2.0 * sqrt_c / (root - kappa) if kappa < 0.0 else (kappa + root) / (2.0 * sqrt_a)
     return math.sqrt(r_sq)
-
-
-# ---------------------------------------------------------------------------
-# First excited state
-# ---------------------------------------------------------------------------
-
-def excited_state(params: PotentialParams) -> ClosedFormState:
-    """Closed-form first excited state; exact only when b = -6 sqrt(c) and
-    m^2 + 2 sqrt(ac) = 4.  kappa1 = 1/2 + (b + 6 sqrt(c))/(2 sqrt(c)) and
-    E1 = (2 kappa1 + 5) sqrt(a) are then exactly 1/2 and 6 sqrt(a)."""
-    sqrt_a = math.sqrt(params.a)
-    sqrt_c = math.sqrt(params.c)
-    kappa1 = 0.5 + (params.b + 6.0 * sqrt_c) / (2.0 * sqrt_c)
-    return ClosedFormState(
-        kappa=kappa1,
-        alpha=-sqrt_a,
-        beta=-sqrt_c,
-        poly_c2=sqrt_a,
-        poly_c0=0.0,
-        poly_cm2=-sqrt_c,
-        energy=(2.0 * kappa1 + 5.0) * sqrt_a,
-        level=Level.EXCITED,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -271,17 +224,21 @@ def eigen_residual(state: ClosedFormState, params: PotentialParams, m: int, r):
 # ---------------------------------------------------------------------------
 
 def constrained_state(params: PotentialParams, m: int, level: Level) -> ClosedFormState:
-    """The closed-form state of `level` for explicit parameters.
+    """The closed-form state of `level` for explicit parameters: the only
+    constructor of a state, with the only kappa and E formulas.
 
-    Raises ConstraintViolation unless b equals the b its level needs to
+    Raises ValueError, on either level, unless m is a non-negative integer,
+    and ConstraintViolation unless b equals the b its level needs to
     CONSTRAINT_REL_TOL, with no absolute term: the ground level compares b
     with ground_constraint_b's b for its kappa branch, relative to
     max(|b|, |that b|, 2 sqrt(c)), or raises if that b overflows; the
     excited level compares b + 6 sqrt(c) with 6 sqrt(c).  The ground branch
     is the sign of b + 2 sqrt(c), which is the +- in ground_constraint_b.
     """
+    centrifugal_coefficient(m)  # validates m
     a, b, c = params.a, params.b, params.c
-    sqrt_c = math.sqrt(c)
+    sqrt_a, sqrt_c = math.sqrt(a), math.sqrt(c)
+    s = m * m + 2.0 * math.sqrt(a * c)
     if level is Level.GROUND:
         branch = SignBranch.PLUS if b + 2.0 * sqrt_c >= 0.0 else SignBranch.MINUS
         b_branch = ground_constraint_b(a, c, m, branch)
@@ -289,13 +246,18 @@ def constrained_state(params: PotentialParams, m: int, level: Level) -> ClosedFo
             raise ConstraintViolation("the ground-state constraint terms overflow")
         if abs(b - b_branch) > CONSTRAINT_REL_TOL * max(abs(b), abs(b_branch), 2.0 * sqrt_c):
             raise ConstraintViolation(f"ground-state constraint needs b = {b_branch!r}; got b = {b!r}")
-        return ground_state(params, m, branch)
+        kappa = 0.5 + math.sqrt(s) if branch is SignBranch.PLUS else 0.5 - math.sqrt(s)
+        return ClosedFormState(kappa=kappa, alpha=-sqrt_a, beta=-sqrt_c, poly_c2=0.0,
+                               poly_c0=1.0, poly_cm2=0.0,
+                               energy=(2.0 * kappa + 1.0) * sqrt_a, level=Level.GROUND)
     if abs(b + 6.0 * sqrt_c) > CONSTRAINT_REL_TOL * 6.0 * sqrt_c:
         raise ConstraintViolation(f"excited state requires b = -6*sqrt(c); got b = {b}")
-    s = m * m + 2.0 * math.sqrt(a * c)
     if abs(s - 4.0) > CONSTRAINT_REL_TOL * 4.0:
         raise ConstraintViolation(f"excited state requires m^2 + 2*sqrt(ac) = 4; got {s:.6g}")
-    return excited_state(params)
+    kappa1 = 0.5 + (b + 6.0 * sqrt_c) / (2.0 * sqrt_c)
+    return ClosedFormState(kappa=kappa1, alpha=-sqrt_a, beta=-sqrt_c, poly_c2=sqrt_a,
+                           poly_c0=0.0, poly_cm2=-sqrt_c,
+                           energy=(2.0 * kappa1 + 5.0) * sqrt_a, level=Level.EXCITED)
 
 
 # ---------------------------------------------------------------------------

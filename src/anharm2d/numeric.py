@@ -109,10 +109,13 @@ class DiscreteHamiltonian:
 
 def assemble(params: PotentialParams, m: int, grid: RadialGrid) -> DiscreteHamiltonian:
     """Three-point stencil (-v[i-1] + 2 v[i] - v[i+1])/h^2 + W(r_i) v[i]
-    with W = V + (m^2 - 1/4)/r^2 and Dirichlet closure."""
+    with W = V + (m^2 - 1/4)/r^2 and Dirichlet closure; ConvergenceError if W overflows."""
     r = grid.points()
     h = grid.h
-    diag = 2.0 / h**2 + params.evaluate(r) + centrifugal_coefficient(m) / r**2
+    with np.errstate(over="ignore"):
+        diag = 2.0 / h**2 + params.evaluate(r) + centrifugal_coefficient(m) / r**2
+    if not np.all(np.isfinite(diag)):
+        raise ConvergenceError("the discretized operator overflows double precision")
     return DiscreteHamiltonian(diag=diag, offdiag=-1.0 / h**2)
 
 

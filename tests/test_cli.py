@@ -1,16 +1,17 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from anharm2d import cli
 from anharm2d.closed_form import (
+    Level,
     PotentialParams,
     SignBranch,
+    constrained_state,
     ground_constraint_b,
-    ground_kappa,
-    ground_state,
     radial_eval,
 )
 from anharm2d.numeric import ConvergenceError, VerificationReport
@@ -150,8 +151,9 @@ class TestEval:
             "--r-min", "0.5", "--r-max", "3", "--samples", "200",
         )
         assert code == 0
-        params = PotentialParams(a=1.0, b=4.0, c=4.0)
-        expected = radial_eval(ground_state(params, 0, SignBranch.PLUS), np.linspace(0.5, 3.0, 200))
+        state = constrained_state(PotentialParams(a=1.0, b=4.0, c=4.0), 0, Level.GROUND)
+        assert state.kappa == 2.5
+        expected = radial_eval(state, np.linspace(0.5, 3.0, 200))
         got = [line.split(",")[1] for line in out.strip().split("\n")[1:]]
         assert got == [format(float(v), ".9g") for v in expected]
 
@@ -257,9 +259,14 @@ class TestVerifyCommand:
 
     def test_overflowing_operator_exits_with_message(self, capsys):
         # at a = 1e300 the discretized operator overflows double precision
-        code, _, err = run(capsys, "verify", "--a", "1e300", "--grid-n", "64")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, "verify", "--a", "1e300", "--grid-n", "64")
         assert code in {2, 3, 4, 5}
         assert err.startswith("error: ")
+        assert code == 4
+        assert "overflow" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_zero_norm_integral_exits_4(self, capsys):
         # at m = 300 the ground state peaks at r = 0.55, past the grid
@@ -315,10 +322,21 @@ class TestNormalize:
             "--m", "0", "--b", "-20000000.28284271",
         )
         assert code == 0
-        kappa = ground_kappa(0, 1e-46, 1e14, SignBranch.MINUS)
+        params = PotentialParams(1e-46, -20000000.28284271, 1e14)
+        kappa = constrained_state(params, 0, Level.GROUND).kappa
         integral = json.loads(out)["integral"]
         assert integral == pytest.approx(bessel_norm_integral(1e-46, 1e14, kappa), rel=1e-8)
         assert integral == pytest.approx(5.0e22, rel=1e-5)
+
+    @pytest.mark.parametrize("command", ["normalize", "eval"])
+    @pytest.mark.parametrize("state", ["ground", "excited"])
+    def test_negative_m_exits_2(self, capsys, command, state):
+        # (1, -9, 9/4) is on the excited surface for |m| = 1: only the m check refuses it
+        code, out, err = run(
+            capsys, command, "--state", state, "--a", "1", "--c", "2.25", "--b", "-9", "--m", "-1",
+        )
+        assert (code, out) == (2, "")
+        assert "angular momentum m must be a non-negative integer" in err
 
     def test_zero_norm_integral_exits_4(self, capsys):
         # the grid [4.9e-62, 1.3e-60] misses the state, so every sample underflows to 0

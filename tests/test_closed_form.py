@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anharm2d import closed_form
+from anharm2d import cli, closed_form
 from anharm2d.closed_form import (
+    ClosedFormState,
     JointSolution,
     Level,
     PotentialParams,
@@ -17,16 +18,31 @@ from anharm2d.closed_form import (
     constrained_state,
     eigen_residual,
     excited_solve,
-    excited_state,
     ground_constraint_b,
-    ground_kappa,
     ground_peak_radius,
-    ground_state,
     radial_eval,
 )
 from anharm2d.numeric import DiscreteHamiltonian, SpectrumResult
 
 LOG_RADII = np.logspace(-1, 1, 100)
+
+
+def ground_on_surface(a, c, m, branch):
+    """The gated ground state of (a, c, m) at the b of `branch`."""
+    params = PotentialParams(a, ground_constraint_b(a, c, m, branch), c)
+    return constrained_state(params, m, Level.GROUND)
+
+
+def paper_ground_state(params, m, branch):
+    """The ground state written out from the paper's formulas, as an oracle:
+    kappa = 1/2 +- sqrt(m^2 + 2 sqrt(ac)) and E0 = (2 kappa + 1) sqrt(a)."""
+    root = math.sqrt(m * m + 2.0 * math.sqrt(params.a * params.c))
+    kappa = 0.5 + root if branch is SignBranch.PLUS else 0.5 - root
+    return ClosedFormState(
+        kappa=kappa, alpha=-math.sqrt(params.a), beta=-math.sqrt(params.c), poly_c2=0.0,
+        poly_c0=1.0, poly_cm2=0.0, energy=(2.0 * kappa + 1.0) * math.sqrt(params.a),
+        level=Level.GROUND,
+    )
 
 
 def rel_ground_residual(state, params, m, r):
@@ -71,19 +87,20 @@ class TestPotentialParams:
 
 class TestGroundKappa:
     def test_sec3_minus(self):
-        assert ground_kappa(0, 1.0, 4.0, SignBranch.MINUS) == -1.5
+        assert ground_on_surface(1.0, 4.0, 0, SignBranch.MINUS).kappa == -1.5
 
     def test_sec3_plus(self):
-        assert ground_kappa(0, 1.0, 4.0, SignBranch.PLUS) == 2.5
+        assert ground_on_surface(1.0, 4.0, 0, SignBranch.PLUS).kappa == 2.5
 
     def test_m1_unit(self):
-        assert ground_kappa(1, 1.0, 1.0, SignBranch.PLUS) == pytest.approx(
+        assert ground_on_surface(1.0, 1.0, 1, SignBranch.PLUS).kappa == pytest.approx(
             0.5 + math.sqrt(3.0), rel=1e-15
         )
 
     def test_rejects_negative_m(self):
+        params = PotentialParams(1.0, ground_constraint_b(1.0, 1.0, 1, SignBranch.PLUS), 1.0)
         with pytest.raises(ValueError):
-            ground_kappa(-1, 1.0, 1.0, SignBranch.PLUS)
+            constrained_state(params, -1, Level.GROUND)
 
 
 class TestGroundConstraint:
@@ -109,7 +126,7 @@ class TestGroundConstraint:
     def test_gate_accepts_surface_points(self, a, b, c):
         assert ground_constraint_b(a, c, 0, SignBranch.MINUS) == pytest.approx(b, rel=1e-15)
         params = PotentialParams(a, b, c)
-        expected = ground_state(params, 0, SignBranch.MINUS)
+        expected = paper_ground_state(params, 0, SignBranch.MINUS)
         assert constrained_state(params, 0, Level.GROUND) == expected
 
     # at c = 1e-26 the surface needs b = -2e-13 (+- 9e-20); an absolute floor let both b by
@@ -125,7 +142,7 @@ class TestGroundConstraint:
         # kappa = 1/2 +- 4.5e-7: the two roots lie within 1e-6 of each other
         b = ground_constraint_b(1.0, 1e-26, 0, branch)
         params = PotentialParams(1.0, b, 1e-26)
-        assert constrained_state(params, 0, Level.GROUND) == ground_state(params, 0, branch)
+        assert constrained_state(params, 0, Level.GROUND) == paper_ground_state(params, 0, branch)
 
     @given(
         log_a=st.floats(-300.0, 300.0),
@@ -197,30 +214,30 @@ class TestGroundResidual:
             for a, c, m in [(1.0, 4.0, 0), (0.5, 2.0, 1), (3.0, 0.7, 2)]:
                 b = ground_constraint_b(a, c, m, branch)
                 params = PotentialParams(a, b, c)
-                state = ground_state(params, m, branch)
+                state = constrained_state(params, m, Level.GROUND)
+                assert state == paper_ground_state(params, m, branch)
                 assert np.all(rel_ground_residual(state, params, m, LOG_RADII) <= 1e-12)
 
 
 class TestExcited:
     def test_kappa1_sec3(self):
-        assert excited_state(PotentialParams(1.0, -12.0, 4.0)).kappa == 0.5
-
-    def test_kappa1_zero_numerator(self):
-        c = 2.3
-        x = excited_state(PotentialParams(1.0, -7.0 * math.sqrt(c), c))
-        assert x.kappa == pytest.approx(0.0, abs=1e-15)
+        assert constrained_state(PotentialParams(1.0, -12.0, 4.0), 0, Level.EXCITED).kappa == 0.5
 
     def test_kappa1_m1_family(self):
-        assert excited_state(PotentialParams(1.0, -9.0, 9.0 / 4.0)).kappa == pytest.approx(0.5)
+        x = constrained_state(PotentialParams(1.0, -9.0, 9.0 / 4.0), 1, Level.EXCITED)
+        assert x.kappa == pytest.approx(0.5)
 
     def test_energy_sec3(self):
-        assert excited_state(PotentialParams(1.0, -12.0, 4.0)).energy == 6.0
-
-    def test_energy_zero_b(self):
-        assert excited_state(PotentialParams(1.0, 0.0, 1.0)).energy == 12.0
+        assert constrained_state(PotentialParams(1.0, -12.0, 4.0), 0, Level.EXCITED).energy == 6.0
 
     def test_energy_scaled(self):
-        assert excited_state(PotentialParams(4.0, -6.0, 1.0)).energy == pytest.approx(12.0)
+        x = constrained_state(PotentialParams(4.0, -6.0, 1.0), 0, Level.EXCITED)
+        assert x.energy == pytest.approx(12.0)
+
+    def test_rejects_negative_m(self):
+        # (1, -9, 9/4) is on the excited surface for |m| = 1
+        with pytest.raises(ValueError, match="non-negative integer"):
+            constrained_state(PotentialParams(1.0, -9.0, 2.25), -1, Level.EXCITED)
 
     def test_gate_has_no_absolute_floor(self):
         # the surface needs b = -6e-13, with kappa1 = 1/2; b = 0 would give kappa1 = 3.5
@@ -309,6 +326,28 @@ class TestExcitedSolve:
         excited_solve(1.0, 0)
         assert levels == [Level.GROUND, Level.EXCITED]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["normalize", "--a", "1", "--state", "ground"],
+            ["eval", "--a", "1", "--state", "excited", "--samples", "3"],
+        ],
+    )
+    def test_cli_takes_the_joint_state(self, monkeypatch, capsys, argv):
+        # with only --a, eval and normalize use the state the joint solve gated
+        levels = []
+        real = closed_form.constrained_state
+
+        def gate(params, m, level):
+            levels.append(level)
+            return real(params, m, level)
+
+        monkeypatch.setattr(closed_form, "constrained_state", gate)
+        monkeypatch.setattr(cli, "constrained_state", gate)
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert levels == [Level.GROUND, Level.EXCITED]
+
     @pytest.mark.parametrize("a", [0.25, 1.0, 4.0, 10.0])
     @pytest.mark.parametrize("m", [0, 1])
     def test_joint_algebra(self, a, m):
@@ -335,8 +374,6 @@ class TestGroundPeakRadius:
 
     def test_symmetric_exponent(self):
         # kappa = 0 with a = c = 1 makes r^4 = 1 the stationary condition
-        from anharm2d.closed_form import ClosedFormState
-
         state = ClosedFormState(
             kappa=0.0, alpha=-1.0, beta=-1.0, poly_c2=0.0, poly_c0=1.0,
             poly_cm2=0.0, energy=1.0, level=Level.GROUND,
@@ -360,7 +397,7 @@ class TestGroundPeakRadius:
     @pytest.mark.parametrize("c, m", [(1e-40, 5), (1e-20, 1)])
     def test_minus_branch_root_does_not_cancel(self, c, m):
         params = PotentialParams(1.0, ground_constraint_b(1.0, c, m, SignBranch.MINUS), c)
-        state = ground_state(params, m, SignBranch.MINUS)
+        state = constrained_state(params, m, Level.GROUND)
         r_sq = ground_peak_radius(state) ** 2
         # sqrt(a) r^4 - kappa r^2 - sqrt(c) = 0, to rounding of its largest term
         terms = (r_sq**2, -state.kappa * r_sq, -math.sqrt(c))
@@ -387,8 +424,6 @@ class TestStateConstruction:
         assert x.kappa == 0.5
 
     def test_positive_alpha_rejected(self):
-        from anharm2d.closed_form import ClosedFormState
-
         with pytest.raises(ValueError):
             ClosedFormState(
                 kappa=0.5, alpha=1.0, beta=-1.0, poly_c2=0.0, poly_c0=1.0,
@@ -396,5 +431,5 @@ class TestStateConstruction:
             )
 
     def test_excited_state_from_params(self, sec3):
-        x = excited_state(PotentialParams(1.0, -12.0, 4.0))
+        x = constrained_state(PotentialParams(1.0, -12.0, 4.0), 0, Level.EXCITED)
         assert x == sec3.excited
