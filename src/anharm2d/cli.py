@@ -98,9 +98,8 @@ def cmd_eval(args) -> int:
     values = radial_eval(state, r)
     if args.normalize:
         values = values * normalization_constant(state, grid)
-    lines = ["r,R"]
-    lines.extend("%.9g,%.9g" % row for row in zip(r.tolist(), values.tolist()))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    rows = np.column_stack((r, values)).ravel()  # r_0, R_0, r_1, R_1, ...
+    _write_text(args.out, "r,R\n" + "%.9g,%.9g\n" * args.samples % tuple(rows.tolist()))
     return EXIT_OK
 
 

@@ -90,7 +90,10 @@ def centrifugal_coefficient(m: int) -> float:
     """2D centrifugal coefficient m^2 - 1/4 for angular momentum m >= 0."""
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise ValueError(f"angular momentum m must be a non-negative integer, got {m}")
-    return m * m - 0.25
+    try:
+        return m * m - 0.25
+    except OverflowError:
+        raise ValueError("angular momentum m is too large: m^2 is not a finite float") from None
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,18 @@ Discretizes the radial operator -d^2/dr^2 + V(r) + (m^2 - 1/4)/r^2 with
 second-order central differences on a truncated uniform grid, extracts the
 low spectrum from scratch (no library eigensolver) and provides Simpson
 quadrature for normalization, overlaps and convergence diagnostics.  Each
-eigenvalue is isolated by Sturm counts, first around a prediction from
-coarser grids (never from the closed form), galloping outward from it where
-it misses, then refined by at most three Rayleigh-quotient steps on
-twisted-factorization eigenvectors, the last being the first whose
-correction is at rounding level.  Each step sweeps backward over the whole
-grid but forward only up to the eigenvector's peak; a stencil too coarse
-for its eigenvectors to peak inside the grid fails the certificate with
+eigenvalue is isolated by Sturm counts.  With eigenvalues predicted from
+coarser grids (never from the closed form), one count at a separator
+halfway between two predictions, far from both eigenvalues, bounds each
+eigenvalue from above; Rayleigh-quotient steps on twisted-factorization
+eigenvectors start from the prediction itself, and the pair is kept only
+if the last step's correction is at rounding level and the residual bound
+|T v - rho v| keeps the pair inside its separators.  Otherwise, or with no
+prediction, the bracket is galloped out from the prediction, bisected to
+1e-3 relative and refined from its midpoint, and the Rayleigh quotient must
+stay inside it.  Each step sweeps backward over the whole grid but forward
+only up to the eigenvector's peak; a stencil too coarse for its
+eigenvectors to peak inside the grid fails the certificate with
 ConvergenceError.  Two small scout grids ahead of the convergence grids
 supply the first predictions, so bisection from the Gershgorin bounds runs
 only on the smallest of them.
@@ -43,6 +48,7 @@ MIN_GRID_POINTS = 16  # fewest interior points a RadialGrid accepts
 NODE_REL_FLOOR = 1e-12  # node_count ignores entries below this fraction of max|v|
 QUAD_REL_TOL = 1e-10  # quadrature stops when two doublings agree to this
 QUAD_MAX_DOUBLINGS = 20
+RAYLEIGH_STEPS = 6  # most Rayleigh steps per start; a start tens of percent off needs several
 
 
 class ConvergenceError(RuntimeError):
@@ -174,8 +180,10 @@ def _twisted_rayleigh(ham: DiscreteHamiltonian, sigma: float):
     index r minimises |gamma_r|, gamma_r = D+_r + D-_r - (d_r - sigma).  The
     vector z with z_r = 1, grown outward by products of -e/D+ and -e/D-,
     satisfies (T - sigma I) z = gamma_r e_r, so its Rayleigh quotient is
-    sigma + gamma_r / |z|^2, and every entry, tails included, carries
-    relative accuracy (Parlett & Dhillon, LAA 267, 1997).
+    rho = sigma + gamma_r / |z|^2, its unit vector v = z / |z| has the
+    residual |T v - rho v| = |gamma_r| / |z| * sqrt(1 - 1/|z|^2), and every
+    entry, tails included, carries relative accuracy (Parlett & Dhillon,
+    LAA 267, 1997).
 
     |gamma_r| is smallest where the eigenvector peaks, so only the backward
     sweep covers the grid.  Its vector grows while |D-_i| < |e|, so it peaks
@@ -186,7 +194,7 @@ def _twisted_rayleigh(ham: DiscreteHamiltonian, sigma: float):
     rounding level.  On a stencil too coarse for
     the vector to peak inside the grid the quotient misses the isolating
     bracket, and lowest_eigenvalues raises ConvergenceError.
-    Returns the unit vector and its Rayleigh quotient.
+    Returns the unit vector, its Rayleigh quotient and its residual.
     """
     d, e2, pivmin = ham._recurrence
     bwd = _pivots(d[::-1], e2, sigma, pivmin)[1][::-1]
@@ -199,7 +207,9 @@ def _twisted_rayleigh(ham: DiscreteHamiltonian, sigma: float):
     z[:r] = np.cumprod((-ham.offdiag / fwd[:r])[::-1])[::-1]
     z[r + 1:] = np.cumprod(-ham.offdiag / bwd[r + 1:])
     norm2 = float(z @ z)
-    return z / math.sqrt(norm2), sigma + float(gamma[r]) / norm2
+    norm = math.sqrt(norm2)
+    gamma_r = float(gamma[r])
+    return z / norm, sigma + gamma_r / norm2, abs(gamma_r) / norm * math.sqrt(1.0 - 1.0 / norm2)
 
 
 @dataclass(frozen=True)
@@ -221,25 +231,38 @@ def lowest_eigenvalues(
     twisted-factorization Rayleigh refinement.
 
     Every Sturm probe made on the matrix, the two Gershgorin ends included,
-    goes into one table of (shift, count).  The j-th eigenvalue starts from
-    the bracket [a, b] of the largest shift with count <= j-1 and the
-    smallest with count >= j, so probes made for earlier eigenvalues bound
-    it too.  When predicted[j-1] = p is given, the shifts p -+ delta*4^i,
-    delta = 5e-4*max(|p|, floor), i = 0..11, are probed first in that
-    order, each only while it lies inside the bracket: if the counts at
-    p -+ delta are (j-1, j), that bracket already passes the test below,
-    and a prediction that misses gallops outward until a probe lands past
-    the eigenvalue.  Then (or with no, a non-finite or a far-off prediction)
-    bisection narrows the bracket until sturm_count(a) = j-1,
-    sturm_count(b) = j and b - a is within 1e-3 of its endpoints.
-    Rayleigh-quotient steps on twisted-factorization vectors then refine
-    the pair from the bracket midpoint, stopping after the first step that
-    moves the quotient by at most eps * max(|lo|, |hi|), lo and hi the
-    Gershgorin ends, or after three; the pair is that step's vector and
-    quotient.  The result is certified by its Rayleigh quotient lying
-    inside the isolating bracket, whatever produced the bracket, which also
-    makes the eigenvalues ascend with none skipped; otherwise
-    ConvergenceError is raised.
+    goes into one table of (shift, count).  The j-th eigenvalue is isolated
+    by the bracket [a, b] of the largest shift with count <= j-1 and the
+    smallest with count >= j, once sturm_count(a) = j-1 and
+    sturm_count(b) = j, so probes made for earlier eigenvalues bound it too.
+
+    Predictions p_1 < ... < p_k (k >= 2, all finite, strictly ascending)
+    give one separator probe above each: the midpoint of p_j and p_(j+1),
+    and p_k + (p_k - p_(k-1))/2 above the last.  A separator lies far from
+    both eigenvalues it separates, so its count is robust, and with the
+    Gershgorin lo below lambda_1 the k separators isolate all k eigenvalues
+    in k passes.  Where the counts isolate lambda_j in (a, b) and p_j lies
+    inside, Rayleigh steps start from sigma = p_j.  Their pair is accepted
+    only if the refinement stopped on its rounding-level test and
+    [rho - res - s, rho + res + s] lies inside (a, b), res the residual
+    |T v - rho v| and s = 4 eps * max(|lo|, |hi|): some eigenvalue lies
+    within res of rho (Parlett, The Symmetric Eigenvalue Problem, 1980),
+    and lambda_j is the only one in (a, b).
+
+    Otherwise (no usable prediction, a separator that does not isolate, or
+    a pair that fails that test) the prediction p, where finite, is probed
+    at p -+ delta*4^i, delta = 5e-4*max(|p|, floor), i = 0..11, in that
+    order, each only while it lies inside the bracket, so a missed
+    prediction gallops outward until a probe lands past the eigenvalue.
+    Then bisection narrows the bracket until b - a is within 1e-3 of its
+    endpoints, Rayleigh steps start from its midpoint, and the pair is
+    accepted if rho lies inside [a, b].
+
+    On both paths a Rayleigh step is the last once it moves the quotient by
+    at most eps * max(|lo|, |hi|), lo and hi the Gershgorin ends, or after
+    RAYLEIGH_STEPS; the pair is that step's vector and quotient.  Either
+    acceptance rule also makes the eigenvalues ascend with none skipped; a
+    pair that fails the second raises ConvergenceError.
     """
     n = ham.n
     if not 1 <= k <= n:
@@ -248,39 +271,56 @@ def lowest_eigenvalues(
     floor = 1e-9 * (hi - lo)  # keeps an eigenvalue near 0 from bisecting to underflow
     rounding = np.finfo(float).eps * max(abs(lo), abs(hi))  # a Rayleigh step this small ends refinement
     probes = [(lo, 0), (hi, n)]
+    p = [float(x) for x in predicted[:k]]
+    if k >= 2 and len(p) == k and all(map(math.isfinite, p)) and all(map(float.__lt__, p, p[1:])):
+        separators = [0.5 * (x + y) for x, y in zip(p, p[1:])] + [p[-1] + 0.5 * (p[-1] - p[-2])]
+    else:
+        separators = [math.nan] * k
+        p += [math.nan] * (k - len(p))
+
+    def bracket(j):
+        a, count_a = max(probe for probe in probes if probe[1] <= j - 1)
+        b, count_b = min(probe for probe in probes if probe[1] >= j)
+        return a, b, count_a == j - 1 and count_b == j
+
+    def refine(sigma):
+        # Rayleigh-quotient iteration converges cubically; a step whose
+        # correction is already at rounding level made its vector there
+        for _ in range(RAYLEIGH_STEPS):
+            v, rho, res = _twisted_rayleigh(ham, sigma)
+            if abs(rho - sigma) <= rounding:
+                return v, rho, res, True
+            sigma = rho
+        return v, rho, res, False
 
     values = []
     vectors = []
-    for j in range(1, k + 1):
-        p = float(predicted[j - 1]) if j <= len(predicted) else math.nan
-        delta = 5e-4 * max(abs(p), floor)
-        # galloping out from p; a guess is dropped once outside the bracket, as NaN always is
-        guesses = [p + sign * delta * 4.0**i for i in range(12) for sign in (-1.0, 1.0)]
-        while True:
-            a, count_a = max(probe for probe in probes if probe[1] <= j - 1)
-            b, count_b = min(probe for probe in probes if probe[1] >= j)
-            if count_a == j - 1 and count_b == j and b - a <= 1e-3 * max(abs(a), abs(b), floor):
-                break
-            guesses = [x for x in guesses if a < x < b]
-            shift = guesses.pop(0) if guesses else 0.5 * (a + b)
-            if not a < shift < b:
-                raise ConvergenceError(f"bisection could not isolate eigenvalue #{j} in [{a}, {b}]")
-            probes.append((shift, sturm_count(ham, shift)))
-        # Rayleigh-quotient iteration converges cubically: from a bracket
-        # 1e-3 wide relative to the eigenvalue, at most two steps reach
-        # rounding level and a third makes the vector at that shift.  A step
-        # whose correction is already at rounding level made its vector
-        # there, so it is the last.
-        rho = 0.5 * (a + b)
-        for _ in range(3):
-            sigma = rho
-            v, rho = _twisted_rayleigh(ham, sigma)
-            if abs(rho - sigma) <= rounding:
-                break
-        if not a <= rho <= b:
-            raise ConvergenceError(
-                f"Rayleigh refinement of eigenvalue #{j} left its isolating bracket"
-            )
+    for j, (pj, separator) in enumerate(zip(p, separators), start=1):
+        a, b, isolated = bracket(j)
+        if a < separator < b:
+            probes.append((separator, sturm_count(ham, separator)))
+            a, b, isolated = bracket(j)
+        accepted = False
+        if isolated and a < pj < b:
+            v, rho, res, settled = refine(pj)
+            slack = res + 4.0 * rounding
+            accepted = settled and a < rho - slack and rho + slack < b
+        if not accepted:
+            delta = 5e-4 * max(abs(pj), floor)
+            # galloping out from pj; a guess is dropped once outside the bracket, as NaN always is
+            guesses = [pj + sign * delta * 4.0**i for i in range(12) for sign in (-1.0, 1.0)]
+            while not (isolated and b - a <= 1e-3 * max(abs(a), abs(b), floor)):
+                guesses = [x for x in guesses if a < x < b]
+                shift = guesses.pop(0) if guesses else 0.5 * (a + b)
+                if not a < shift < b:
+                    raise ConvergenceError(f"bisection could not isolate eigenvalue #{j} in [{a}, {b}]")
+                probes.append((shift, sturm_count(ham, shift)))
+                a, b, isolated = bracket(j)
+            v, rho, _, _ = refine(0.5 * (a + b))
+            if not a <= rho <= b:
+                raise ConvergenceError(
+                    f"Rayleigh refinement of eigenvalue #{j} left its isolating bracket"
+                )
         first = np.flatnonzero(np.abs(v) > 0.0)[0]
         if v[first] < 0.0:
             v = -v
@@ -373,10 +413,11 @@ def _error_table(params: PotentialParams, m: int, exact: tuple, n_list):
     only feed predictions and get no row.  Each grid's eigensolve is given
     predicted eigenvalues from the grids before it, never from exact: the
     previous grid's eigenvalues, or, after two grids, their h^2
-    extrapolation to this grid's h.  A good prediction costs two Sturm
-    passes per eigenvalue; a poor one gallops outward from the prediction
-    and bisects its last step.  The first grid solved, having none, is
-    bisected from Gershgorin."""
+    extrapolation to this grid's h.  Predictions that keep the eigenvalues
+    apart cost one Sturm pass per eigenvalue, at a separator between them;
+    where a pair started from one fails its test, the bracket gallops
+    outward from the prediction and bisects its last step.  The first grid
+    solved, having none, is bisected from Gershgorin."""
     scouts = [s for s in (n_list[0] // 8, n_list[0] // 4) if s >= MIN_GRID_POINTS]
     hs, found = [], []
     for n in [*scouts, *n_list]:
@@ -437,8 +478,8 @@ def verify(a: float, m: int, n: int = 4000) -> VerificationReport:
     Scout grids of n/32 and n/16 points, where they reach that minimum, are
     solved first.  The first grid solved has no prediction and is bisected
     from Gershgorin; every later grid, n/4 included once a scout precedes it,
-    is predicted from the grids before it (see _error_table) and certified
-    by Sturm counts, galloping outward where a prediction misses.  The
+    is predicted from the grids before it (see _error_table) and isolated
+    by Sturm counts at separators between the predictions.  The
     report fails if any |E_hat - E| exceeds 10x the fitted model prediction,
     the node counts differ from (0, 1), or the overlap exceeds 1e-8.
     """

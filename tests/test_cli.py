@@ -380,6 +380,14 @@ class TestMain:
         assert err.startswith("error: ")
 
 
+    @pytest.mark.parametrize("command", ["solve", "verify", "eval", "normalize"])
+    def test_m_too_large_for_a_float_exits_2(self, capsys, command):
+        # m^2 overflows a float; it used to end in an OverflowError traceback
+        code, out, err = run(capsys, command, "--a", "1", "--m", "1" + "0" * 160)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "m^2" in err
+
+
 class TestPipelines:
     @pytest.mark.parametrize("a, m", [(0.3, 1), (2.0, 0), (7.0, 0), (7.0, 1), (1e6, 1)])
     def test_solve_parameters_reproduce_joint_excited_normalize(self, capsys, a, m):

@@ -260,14 +260,15 @@ class TestEigensolver:
         assert np.all(np.abs(result.eigenvalues - ref) <= 2.0 * rounding_floor(ham))
         assert [node_count(v) for v in result.eigenvectors] == [0, 1]
 
-    def test_exact_prediction_costs_two_passes_per_eigenvalue(self, monkeypatch):
+    def test_exact_prediction_costs_one_pass_per_eigenvalue(self, monkeypatch):
+        # one separator probe above each prediction; probing p -+ delta took 4
         ham = sec3_hamiltonian(1000)
         ref = library_pair(ham)
         shifts = []
         real = numeric.sturm_count
         monkeypatch.setattr(numeric, "sturm_count", lambda h, x: shifts.append(x) or real(h, x))
         result = lowest_eigenvalues(ham, 2, ref)
-        assert len(shifts) == 4
+        assert len(shifts) == 2
         assert np.all(np.abs(result.eigenvalues - ref) <= 2.0 * rounding_floor(ham))
 
     def test_twist_sweeps_forward_only_to_the_peak(self, monkeypatch, sec3):
@@ -276,9 +277,20 @@ class TestEigensolver:
         ham = sec3_hamiltonian(64000)
         twists = record_twist_sweeps(monkeypatch)
         for sigma, nodes in ((sec3.ground.energy, 0), (sec3.excited.energy, 1)):
-            v, _ = numeric._twisted_rayleigh(ham, sigma)
+            v, _, _ = numeric._twisted_rayleigh(ham, sigma)
             assert sum(twists[-1]) <= 1.3 * ham.n
             assert node_count(v) == nodes
+
+    @pytest.mark.parametrize("n", [1000, 64000])
+    def test_twist_residual_is_the_vectors_own(self, sec3, n):
+        # away from convergence the residual from gamma_r and |z| is the
+        # one computed from the returned vector
+        ham = sec3_hamiltonian(n)
+        for sigma in (sec3.ground.energy * 1.01, sec3.excited.energy * 0.99):
+            v, rho, res = numeric._twisted_rayleigh(ham, sigma)
+            direct = float(np.linalg.norm(apply(ham, v) - rho * v))
+            assert res == pytest.approx(direct, rel=1e-6)
+            assert res > 1e3 * rounding_floor(ham)
 
     @pytest.mark.parametrize("n", [43, 574])
     def test_twist_window_ends_at_the_peak(self, monkeypatch, n):
@@ -487,17 +499,27 @@ class TestVerify:
             verify(1.0, 3, 1000)
 
     def test_predicted_brackets_save_sturm_passes(self, monkeypatch):
-        # the 125-point scout takes the bisection, so each reported grid
-        # costs two passes per eigenvalue; bisecting the 1000-point grid took
-        # 39 passes and 63000 points of Sturm work in all, and bisecting the
-        # 250-point scout after its missed prediction took 39 passes
+        # the 125-point scout takes the bisection, so each later grid costs
+        # one separator pass per eigenvalue; bisecting the 1000-point grid
+        # took 39 passes and 63000 points of Sturm work in all, bisecting the
+        # 250-point scout after its missed prediction took 39 passes, and
+        # probing p -+ delta took 4 per grid and 17 on that scout
         sizes = []
         real = numeric.sturm_count
         monkeypatch.setattr(numeric, "sturm_count", lambda h, x: sizes.append(h.n) or real(h, x))
         assert verify(1.0, 0, 4000).passed
-        assert all(sizes.count(n) <= 4 for n in (1000, 2000, 4000))
-        assert sizes.count(250) <= 20
+        assert all(sizes.count(n) <= 2 for n in (250, 1000, 2000, 4000))
         assert sum(sizes) <= 50000
+
+    def test_small_predicted_grids_take_one_pass_per_eigenvalue(self, monkeypatch):
+        # predictions on these grids are tens of percent off, but a
+        # separator halfway between two of them still isolates; galloping
+        # out from p and bisecting took 23 and 15 passes on 128 and 256 points
+        sizes = []
+        real = numeric.sturm_count
+        monkeypatch.setattr(numeric, "sturm_count", lambda h, x: sizes.append(h.n) or real(h, x))
+        assert verify(1.0, 0, 512).passed
+        assert all(sizes.count(n) <= 2 for n in (128, 256, 512))
 
     def test_predictions_do_not_use_the_exact_energies(self, sec3):
         # the numeric side must not be steered by the values it checks
@@ -521,6 +543,27 @@ class TestVerify:
         for ham, values in solved:
             ref = library_pair(ham)
             assert np.all(np.abs(values - ref) <= 2.0 * rounding_floor(ham))
+
+    @pytest.mark.parametrize("a, m", [(1.0, 0), (1.0, 1), (10.0, 0), (10.0, 1)])
+    @pytest.mark.parametrize("n", [64, 65, 71])
+    def test_small_grids_match_library_eigenvalues(self, monkeypatch, a, m, n):
+        # predictions on 16- to 71-point grids are up to 40% off, so Rayleigh
+        # steps started from them may not settle; a pair is kept only if its
+        # last step was at rounding level, not merely inside the separators
+        solved = []
+        real = numeric.lowest_eigenvalues
+
+        def recording(ham, k, *rest):
+            result = real(ham, k, *rest)
+            solved.append((ham, result.eigenvalues))
+            return result
+
+        monkeypatch.setattr(numeric, "lowest_eigenvalues", recording)
+        verify(a, m, n)
+        assert len(solved) >= 3
+        for ham, values in solved:
+            ref = library_pair(ham)
+            assert np.all(np.abs(values - ref) <= 2.0 * rounding_floor(ham)), ham.n
 
     def test_rayleigh_steps_stop_at_rounding_level(self, monkeypatch):
         # three steps for each of the 2 pairs on 3 grids took 18 here; with
