@@ -4,21 +4,22 @@ Discretizes the radial operator -d^2/dr^2 + V(r) + (m^2 - 1/4)/r^2 with
 second-order central differences on a truncated uniform grid, extracts the
 low spectrum from scratch (no library eigensolver) and provides Simpson
 quadrature for normalization, overlaps and convergence diagnostics.  Each
-eigenvalue is isolated by Sturm counts.  With eigenvalues predicted from
-coarser grids (never from the closed form), one count at a separator
-halfway between two predictions, far from both eigenvalues, bounds each
-eigenvalue from above; Rayleigh-quotient steps on twisted-factorization
-eigenvectors start from the prediction itself, and the pair is kept only
-if the last step's correction is at rounding level and the residual bound
-|T v - rho v| keeps the pair inside its separators.  Otherwise, or with no
-prediction, the bracket is galloped out from the prediction, bisected to
-1e-3 relative and refined from its midpoint, and the Rayleigh quotient must
-stay inside it.  Each step sweeps backward over the whole grid but forward
-only up to the eigenvector's peak; a stencil too coarse for its
-eigenvectors to peak inside the grid fails the certificate with
-ConvergenceError.  Two small scout grids ahead of the convergence grids
-supply the first predictions, so bisection from the Gershgorin bounds runs
-only on the smallest of them.
+eigenvalue is isolated by Sturm counts, each of which stops at the shift's
+outer turning point, past which no pivot can turn negative.  With
+eigenvalues predicted from coarser grids (never from the closed form), one
+count at a separator halfway between two predictions, far from both
+eigenvalues, bounds each eigenvalue from above; Rayleigh-quotient steps on
+twisted-factorization eigenvectors start from the prediction itself, and
+the pair is kept only if the last step's correction is at rounding level
+and the residual bound |T v - rho v| keeps the pair inside its separators.
+Otherwise, or with no prediction, the bracket is bisected to 1e-3 relative
+and refined from its midpoint, and the Rayleigh quotient must stay inside
+it.  Each step sweeps backward over the whole grid but forward only up to
+the eigenvector's peak; a stencil too coarse for its eigenvectors to peak
+inside the grid fails the certificate with ConvergenceError.  A ladder of
+scout grids, each 4x smaller than the next, supplies the first
+predictions, so bisection from the Gershgorin bounds runs only on its
+smallest rung, of at most 63 points.
 
 The half-line domain is truncated where both exponential tails of the exact
 states fall below exp(-T) of their peak scale, with T = TAIL_THRESHOLD = 45
@@ -112,6 +113,12 @@ class DiscreteHamiltonian:
         pivmin = np.finfo(float).tiny * max(1.0, e2)  # as LAPACK dstebz
         return self.diag.tolist(), e2, pivmin
 
+    @cached_property
+    def _tail_min(self) -> np.ndarray:
+        """min(diag[i:]) for each i, nondecreasing: where a shift's classically
+        forbidden outer region begins."""
+        return np.minimum.accumulate(self.diag[::-1])[::-1]
+
 
 def assemble(params: PotentialParams, m: int, grid: RadialGrid) -> DiscreteHamiltonian:
     """Three-point stencil (-v[i-1] + 2 v[i] - v[i+1])/h^2 + W(r_i) v[i]
@@ -161,8 +168,19 @@ def _pivots(d: list, e2: float, lam: float, pivmin: float) -> tuple[int, np.ndar
 
 def sturm_count(ham: DiscreteHamiltonian, lam: float) -> int:
     """Number of eigenvalues strictly below lam (Sturm sequence count): the
-    negative pivots of the forward sweep of _pivots."""
+    negative pivots of the forward sweep of _pivots.
+
+    The sweep stops at the outer turning point i*, the first index with
+    d_i - lam >= 2|e| for every i >= i*.  If the pivot before it is >= |e|,
+    each later pivot is >= 2|e| - e^2/|e| = |e| > 0, so none of them counts
+    and the count is exact; otherwise the whole grid is swept."""
     d, e2, pivmin = ham._recurrence
+    e = abs(ham.offdiag)
+    cut = int(np.searchsorted(ham._tail_min, lam + 2.0 * e))
+    if 0 < cut < ham.n:
+        count, pivots = _pivots(d[:cut], e2, lam, pivmin)
+        if pivots[-1] >= e:
+            return count
     return _pivots(d, e2, lam, pivmin)[0]
 
 
@@ -250,13 +268,10 @@ def lowest_eigenvalues(
     and lambda_j is the only one in (a, b).
 
     Otherwise (no usable prediction, a separator that does not isolate, or
-    a pair that fails that test) the prediction p, where finite, is probed
-    at p -+ delta*4^i, delta = 5e-4*max(|p|, floor), i = 0..11, in that
-    order, each only while it lies inside the bracket, so a missed
-    prediction gallops outward until a probe lands past the eigenvalue.
-    Then bisection narrows the bracket until b - a is within 1e-3 of its
-    endpoints, Rayleigh steps start from its midpoint, and the pair is
-    accepted if rho lies inside [a, b].
+    a pair that fails that test) bisection narrows the bracket, separators
+    included, until b - a is within 1e-3 of max(|a|, |b|, floor), Rayleigh
+    steps start from its midpoint, and the pair is accepted if rho lies
+    inside [a, b].
 
     On both paths a Rayleigh step is the last once it moves the quotient by
     at most eps * max(|lo|, |hi|), lo and hi the Gershgorin ends, or after
@@ -306,12 +321,8 @@ def lowest_eigenvalues(
             slack = res + 4.0 * rounding
             accepted = settled and a < rho - slack and rho + slack < b
         if not accepted:
-            delta = 5e-4 * max(abs(pj), floor)
-            # galloping out from pj; a guess is dropped once outside the bracket, as NaN always is
-            guesses = [pj + sign * delta * 4.0**i for i in range(12) for sign in (-1.0, 1.0)]
             while not (isolated and b - a <= 1e-3 * max(abs(a), abs(b), floor)):
-                guesses = [x for x in guesses if a < x < b]
-                shift = guesses.pop(0) if guesses else 0.5 * (a + b)
+                shift = 0.5 * (a + b)
                 if not a < shift < b:
                     raise ConvergenceError(f"bisection could not isolate eigenvalue #{j} in [{a}, {b}]")
                 probes.append((shift, sturm_count(ham, shift)))
@@ -408,27 +419,35 @@ def _error_table(params: PotentialParams, m: int, exact: tuple, n_list):
     """Spacings h over the ascending n_list, |eigenvalue - exact| per level
     (one row per entry of exact), and the finest grid and its spectrum.
 
-    Two scout grids of n_list[0] // 8 and n_list[0] // 4 points, each kept
-    only if it has MIN_GRID_POINTS, are solved first; their eigenvalues
-    only feed predictions and get no row.  Each grid's eigensolve is given
-    predicted eigenvalues from the grids before it, never from exact: the
-    previous grid's eigenvalues, or, after two grids, their h^2
-    extrapolation to this grid's h.  Predictions that keep the eigenvalues
-    apart cost one Sturm pass per eigenvalue, at a separator between them;
-    where a pair started from one fails its test, the bracket gallops
-    outward from the prediction and bisects its last step.  The first grid
-    solved, having none, is bisected from Gershgorin."""
-    scouts = [s for s in (n_list[0] // 8, n_list[0] // 4) if s >= MIN_GRID_POINTS]
+    A ladder of scout grids of n_list[0] // 4^k points, k = 1, 2, ..., each
+    kept only if it has MIN_GRID_POINTS, is solved first in ascending
+    order; their eigenvalues only feed predictions and get no row.  Each
+    grid's eigensolve is given predicted eigenvalues from the grids before
+    it, never from exact: the previous grid's eigenvalues, or, after two
+    grids, their h^2 extrapolation to this grid's h.  Predictions that keep
+    the eigenvalues apart cost one Sturm pass per eigenvalue, at a separator
+    between them; where a pair started from one fails its test, the bracket
+    is bisected.  The first grid solved, the smallest rung (16 to 63 points
+    when there is one), has no prediction and is bisected from Gershgorin.
+    The finest operator is assembled before any grid is solved, so one too
+    large to allocate raises MemoryError at once."""
+    scouts = []
+    while (rung := n_list[0] // 4 ** (len(scouts) + 1)) >= MIN_GRID_POINTS:
+        scouts.insert(0, rung)
+    grids = [build_grid(params, n) for n in [*scouts, *n_list]]
+    # the finest operator first, so a grid too large to allocate fails at
+    # once instead of after every rung below it
+    finest = assemble(params, m, grids[-1])
     hs, found = [], []
-    for n in [*scouts, *n_list]:
-        grid = build_grid(params, n)
+    for grid in grids:
         h = grid.h
         if len(found) >= 2:
             (h1, h2), (l1, l2) = hs[-2:], found[-2:]
             predicted = l2 + (l2 - l1) * (h**2 - h2**2) / (h2**2 - h1**2)
         else:
             predicted = found[-1] if found else ()
-        spectrum = lowest_eigenvalues(assemble(params, m, grid), len(exact), predicted)
+        ham = finest if grid is grids[-1] else assemble(params, m, grid)
+        spectrum = lowest_eigenvalues(ham, len(exact), predicted)
         hs.append(h)
         found.append(spectrum.eigenvalues)
     reported = slice(len(scouts), None)
@@ -475,13 +494,14 @@ def verify(a: float, m: int, n: int = 4000) -> VerificationReport:
     constants (the norm integral of each state computed once and shared by
     both), and fits the h^2 error model across {n/4, n/2, n}; n >= 64
     keeps the coarsest of those grids at its 16-point minimum or above.
-    Scout grids of n/32 and n/16 points, where they reach that minimum, are
-    solved first.  The first grid solved has no prediction and is bisected
-    from Gershgorin; every later grid, n/4 included once a scout precedes it,
-    is predicted from the grids before it (see _error_table) and isolated
-    by Sturm counts at separators between the predictions.  The
-    report fails if any |E_hat - E| exceeds 10x the fitted model prediction,
-    the node counts differ from (0, 1), or the overlap exceeds 1e-8.
+    A ladder of scout grids of n/16, n/64, n/256, ... points, each down to
+    that minimum, is solved first, smallest first.  The first grid solved
+    has no prediction and is bisected from Gershgorin; every later grid, n/4
+    included once a scout precedes it, is predicted from the grids before it
+    (see _error_table) and isolated by Sturm counts at separators between
+    the predictions.  The report fails if any |E_hat - E| exceeds 10x the
+    fitted model prediction, the node counts differ from (0, 1), or the
+    overlap exceeds 1e-8.
     """
     if n < 64:
         raise ValueError(f"verify needs n >= 64 grid points (its coarsest grid has n // 4), got {n}")

@@ -205,6 +205,29 @@ class TestEigensolver:
             expected = int(np.sum(every < x))
             assert sturm_count(ham, x) == _pivots(d, e2, x, pivmin)[0] == expected, x
 
+    @pytest.mark.parametrize("a", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("n", [16, 1000])
+    def test_sturm_count_stopped_at_the_turning_point_is_exact(self, monkeypatch, a, n):
+        # a count stops where d_i - lam >= 2|e| for the rest of the grid if
+        # the pivot there is >= |e|, and sweeps the whole grid otherwise;
+        # shifts just above lo leave a small last pivot and take the latter
+        params = excited_solve(a, 0).params
+        ham = assemble(params, 0, build_grid(params, n))
+        lo, hi = _gershgorin_bounds(ham)
+        rng = np.random.default_rng(16)
+        shifts = [*rng.uniform(lo, hi, 300), *(lo + 1e-3 * (hi - lo) * rng.uniform(size=300))]
+        d, e2, pivmin = ham._recurrence
+        sweeps = []
+        monkeypatch.setattr(
+            numeric, "_pivots", lambda di, *rest: sweeps.append(len(di)) or _pivots(di, *rest)
+        )
+        branches = set()
+        for x in shifts:
+            sweeps.clear()
+            assert sturm_count(ham, x) == _pivots(d, e2, x, pivmin)[0], x
+            branches.add("cut" if sweeps[-1] < n else "fallback" if len(sweeps) == 2 else "full")
+        assert {"cut", "fallback"} <= branches
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("tiny_pivot", [None, 0.0, 1e-310])
     @pytest.mark.parametrize("as_shift", [float, np.float64])
@@ -499,17 +522,28 @@ class TestVerify:
             verify(1.0, 3, 1000)
 
     def test_predicted_brackets_save_sturm_passes(self, monkeypatch):
-        # the 125-point scout takes the bisection, so each later grid costs
+        # the 62-point rung takes the bisection, so each later grid costs
         # one separator pass per eigenvalue; bisecting the 1000-point grid
-        # took 39 passes and 63000 points of Sturm work in all, bisecting the
-        # 250-point scout after its missed prediction took 39 passes, and
-        # probing p -+ delta took 4 per grid and 17 on that scout
+        # took 39 passes and 63000 points of Sturm work in all, bisecting a
+        # 125-point first scout took 36 passes and 19000 points in all
         sizes = []
         real = numeric.sturm_count
         monkeypatch.setattr(numeric, "sturm_count", lambda h, x: sizes.append(h.n) or real(h, x))
         assert verify(1.0, 0, 4000).passed
         assert all(sizes.count(n) <= 2 for n in (250, 1000, 2000, 4000))
-        assert sum(sizes) <= 50000
+        assert sum(sizes) <= 20000
+
+    def test_fine_verify_sweeps_few_elements(self, monkeypatch):
+        # counts stop at the outer turning point and only the 62-point rung
+        # is bisected; full-grid counts and a bisected 2000-point first
+        # scout swept 605,528 elements
+        sweeps, passes = [], []
+        real_pivots, real_count = numeric._pivots, numeric.sturm_count
+        monkeypatch.setattr(numeric, "_pivots", lambda d, *rest: sweeps.append(len(d)) or real_pivots(d, *rest))
+        monkeypatch.setattr(numeric, "sturm_count", lambda h, x: passes.append(h.n) or real_count(h, x))
+        verify(1.0, 0, 64000)
+        assert sum(sweeps) <= 400000
+        assert all(passes.count(n) <= 2 for n in set(passes) - {passes[0]})
 
     def test_small_predicted_grids_take_one_pass_per_eigenvalue(self, monkeypatch):
         # predictions on these grids are tens of percent off, but a
@@ -539,7 +573,7 @@ class TestVerify:
 
         monkeypatch.setattr(numeric, "lowest_eigenvalues", recording)
         verify(1.0, 0, 32000)
-        assert [ham.n for ham, _ in solved] == [1000, 2000, 8000, 16000, 32000]
+        assert [ham.n for ham, _ in solved] == [31, 125, 500, 2000, 8000, 16000, 32000]
         for ham, values in solved:
             ref = library_pair(ham)
             assert np.all(np.abs(values - ref) <= 2.0 * rounding_floor(ham))
@@ -589,7 +623,7 @@ class TestVerify:
 
         monkeypatch.setattr(numeric, "lowest_eigenvalues", recording)
         verify(a, m, 32000)
-        assert [ham.n for ham, _ in solved] == [1000, 2000, 8000, 16000, 32000]
+        assert [ham.n for ham, _ in solved] == [31, 125, 500, 2000, 8000, 16000, 32000]
         for ham, result in solved:
             scale = float(np.max(np.abs(ham.diag)))
             _, ref = eigh_tridiagonal(ham.diag, offdiag_entries(ham), select="i", select_range=(0, 1))
@@ -601,10 +635,10 @@ class TestVerify:
     @pytest.mark.parametrize("a, m", [(1.0, 0), (10.0, 1)])
     @pytest.mark.parametrize(
         "n, grids",
-        [(64, [16, 32, 64]), (511, [31, 127, 255, 511]), (512, [16, 32, 128, 256, 512])],
+        [(64, [16, 32, 64]), (511, [31, 127, 255, 511]), (512, [32, 128, 256, 512])],
     )
     def test_scouts_below_the_grid_minimum_are_dropped(self, monkeypatch, a, m, n, grids):
-        # scouts of n/32 and n/16 points precede the reported grids, each
+        # scouts of n/16, n/64, ... points precede the reported grids, each
         # only where it has the 16 points a grid needs
         sizes = []
         real = numeric.lowest_eigenvalues
