@@ -3,23 +3,27 @@
 Discretizes the radial operator -d^2/dr^2 + V(r) + (m^2 - 1/4)/r^2 with
 second-order central differences on a truncated uniform grid, extracts the
 low spectrum from scratch (no library eigensolver) and provides Simpson
-quadrature for normalization, overlaps and convergence diagnostics.  Each
+quadrature for normalization, overlaps and convergence diagnostics.  The
+quadrature calls its integrand once for every level up to QUAD_SAMPLED
+intervals, and past that only on each doubling's new midpoints.  Each
 eigenvalue is isolated by Sturm counts, each of which stops at the shift's
 outer turning point, past which no pivot can turn negative.  With
 eigenvalues predicted from coarser grids (never from the closed form), one
 count at a separator halfway between two predictions, far from both
-eigenvalues, bounds each eigenvalue from above; Rayleigh-quotient steps on
-twisted-factorization eigenvectors start from the prediction itself, and
-the pair is kept only if the last step's correction is at rounding level
-and the residual bound |T v - rho v| keeps the pair inside its separators.
-Otherwise, or with no prediction, the bracket is bisected to 1e-3 relative
-and refined from its midpoint, and the Rayleigh quotient must stay inside
-it.  Each step sweeps backward over the whole grid but forward only up to
-the eigenvector's peak; a stencil too coarse for its eigenvectors to peak
-inside the grid fails the certificate with ConvergenceError.  A ladder of
-scout grids, each 4x smaller than the next, supplies the first
-predictions, so bisection from the Gershgorin bounds runs only on its
-smallest rung, of at most 63 points.
+eigenvalues, bounds each eigenvalue from above.  Each grid is predicted
+from the polynomial in h^2 through the last three grids solved, which on
+the larger grids misses by a fraction of the rounding floor.
+Rayleigh-quotient steps on twisted-factorization eigenvectors start from
+the prediction itself, and the pair is kept only if the last step's
+correction is at rounding level and the residual bound |T v - rho v| keeps
+the pair inside its separators.  Otherwise, or with no prediction, the
+bracket is bisected to 1e-3 relative and refined from its midpoint, and
+the Rayleigh quotient must stay inside it.  Each step sweeps backward over
+the whole grid but forward only up to the eigenvector's peak; a stencil
+too coarse for its eigenvectors to peak inside the grid fails the
+certificate with ConvergenceError.  A ladder of scout grids, each 4x
+smaller than the next, supplies the first predictions, so bisection from
+the Gershgorin bounds runs only on its smallest rung, of at most 63 points.
 
 The half-line domain is truncated where both exponential tails of the exact
 states fall below exp(-T) of their peak scale, with T = TAIL_THRESHOLD = 45
@@ -49,6 +53,7 @@ MIN_GRID_POINTS = 16  # fewest interior points a RadialGrid accepts
 NODE_REL_FLOOR = 1e-12  # node_count ignores entries below this fraction of max|v|
 QUAD_REL_TOL = 1e-10  # quadrature stops when two doublings agree to this
 QUAD_MAX_DOUBLINGS = 20
+QUAD_SAMPLED = 1024  # intervals sampled by quadrature's first call of the integrand
 RAYLEIGH_STEPS = 6  # most Rayleigh steps per start; a start tens of percent off needs several
 
 
@@ -354,35 +359,51 @@ def node_count(v: np.ndarray) -> int:
 # Quadrature, normalization, overlaps
 # ---------------------------------------------------------------------------
 
-def _simpson(f, a: float, b: float, intervals: int) -> float:
-    x = np.linspace(a, b, intervals + 1)
-    y = np.asarray(f(x), dtype=float)
-    h = (b - a) / intervals
+def _simpson(y: np.ndarray, h: float) -> float:
+    """Composite Simpson sum of the samples y, spaced h apart."""
     return h / 3.0 * float(y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2]))
 
 
 def quadrature(f, grid: RadialGrid, abs_tol: float = 0.0) -> float:
-    """Composite Simpson over [r_min, r_max], doubling the resolution until
-    two successive estimates agree to QUAD_REL_TOL (relative).
+    """Composite Simpson over [r_min, r_max], doubling the resolution from
+    16 intervals until two successive estimates agree to QUAD_REL_TOL
+    (relative), or returning the first estimate that is not finite: a
+    non-finite sample stays in every finer level.
+
+    f is called once on QUAD_SAMPLED + 1 equispaced points, and the levels
+    up to QUAD_SAMPLED intervals are strided views of those samples; the
+    call, not the points, is what costs.  Each later doubling evaluates
+    only its new midpoints.  linspace(a, b, 1025)[::64] equals
+    linspace(a, b, 17) bit for bit, so every estimate is that of sampling
+    each level afresh.
 
     abs_tol gives an absolute convergence floor for integrals that cancel to
     (near) zero, where a purely relative criterion can never trigger.
     """
-    intervals = 16
-    prev = _simpson(f, grid.r_min, grid.r_max, intervals)
-    for _ in range(QUAD_MAX_DOUBLINGS):
-        intervals *= 2
-        cur = _simpson(f, grid.r_min, grid.r_max, intervals)
-        if abs(cur - prev) <= max(QUAD_REL_TOL * max(abs(cur), abs(prev)), abs_tol):
+    a, b = grid.r_min, grid.r_max
+    y = np.asarray(f(np.linspace(a, b, QUAD_SAMPLED + 1)), dtype=float)
+    intervals, prev = 16, None
+    for _ in range(QUAD_MAX_DOUBLINGS + 1):
+        h = (b - a) / intervals
+        if intervals > QUAD_SAMPLED:
+            finer = np.empty(intervals + 1)
+            finer[::2] = y
+            finer[1::2] = f(np.arange(1, intervals, 2, dtype=float) * h + a)
+            y = finer
+        cur = _simpson(y[:: (len(y) - 1) // intervals], h)
+        if not math.isfinite(cur) or (
+            prev is not None and abs(cur - prev) <= max(QUAD_REL_TOL * max(abs(cur), abs(prev)), abs_tol)
+        ):
             return cur
-        prev = cur
+        intervals, prev = 2 * intervals, cur
     raise ConvergenceError("Simpson quadrature did not converge")
 
 
 def _norm_integral(state: ClosedFormState, grid: RadialGrid) -> float:
     """Integral of |R|^2 dr over the grid's interval.  Raises ConvergenceError
     unless it is finite and > 0, as it is not when the interval misses the state."""
-    integral = quadrature(lambda r: radial_eval(state, r) ** 2, grid)
+    with np.errstate(over="ignore"):  # an overflowing square gives inf, reported below
+        integral = quadrature(lambda r: radial_eval(state, r) ** 2, grid)
     if not (math.isfinite(integral) and integral > 0.0):
         raise ConvergenceError(
             f"norm integral of the {state.level.value} state on [{grid.r_min:.6g}, "
@@ -405,9 +426,10 @@ def _cosine(s1: ClosedFormState, s2: ClosedFormState, grid: RadialGrid, i1: floa
     """overlap(s1, s2, grid) from the norm integrals i1 and i2 of s1 and s2."""
     scale = math.sqrt(i1 * i2)
     # orthogonal pairs cancel to ~0; resolve the cosine itself to 1e-11
-    cross = quadrature(
-        lambda r: radial_eval(s1, r) * radial_eval(s2, r), grid, abs_tol=1e-11 * scale
-    )
+    with np.errstate(over="ignore"):
+        cross = quadrature(
+            lambda r: radial_eval(s1, r) * radial_eval(s2, r), grid, abs_tol=1e-11 * scale
+        )
     return cross / scale
 
 
@@ -423,14 +445,19 @@ def _error_table(params: PotentialParams, m: int, exact: tuple, n_list):
     kept only if it has MIN_GRID_POINTS, is solved first in ascending
     order; their eigenvalues only feed predictions and get no row.  Each
     grid's eigensolve is given predicted eigenvalues from the grids before
-    it, never from exact: the previous grid's eigenvalues, or, after two
-    grids, their h^2 extrapolation to this grid's h.  Predictions that keep
-    the eigenvalues apart cost one Sturm pass per eigenvalue, at a separator
-    between them; where a pair started from one fails its test, the bracket
-    is bisected.  The first grid solved, the smallest rung (16 to 63 points
-    when there is one), has no prediction and is bisected from Gershgorin.
-    The finest operator is assembled before any grid is solved, so one too
-    large to allocate raises MemoryError at once."""
+    it, never from exact: the previous grid's eigenvalues, the line in h^2
+    through the last two grids, or, from the fourth grid on, the quadratic
+    in h^2 through the last three (Richardson extrapolation carried one
+    order further), each evaluated at this grid's h^2.  The quadratic also
+    cancels the h^4 term, so on the larger grids a prediction misses by
+    less than the rounding floor and one Rayleigh step settles it.
+    Predictions that keep the eigenvalues apart cost one Sturm pass per
+    eigenvalue, at a separator between them; where a pair started from one
+    fails its test, the bracket is bisected.  The first grid solved, the
+    smallest rung (16 to 63 points when there is one), has no prediction and
+    is bisected from Gershgorin.  The finest operator is assembled before
+    any grid is solved, so one too large to allocate raises MemoryError at
+    once."""
     scouts = []
     while (rung := n_list[0] // 4 ** (len(scouts) + 1)) >= MIN_GRID_POINTS:
         scouts.insert(0, rung)
@@ -441,11 +468,16 @@ def _error_table(params: PotentialParams, m: int, exact: tuple, n_list):
     hs, found = [], []
     for grid in grids:
         h = grid.h
-        if len(found) >= 2:
-            (h1, h2), (l1, l2) = hs[-2:], found[-2:]
-            predicted = l2 + (l2 - l1) * (h**2 - h2**2) / (h2**2 - h1**2)
-        else:
-            predicted = found[-1] if found else ()
+        # Neville's scheme in t = h^2 through the last three grids (fewer
+        # while fewer exist): each pass raises the degree by one, so two
+        # grids give their line and one gives its own eigenvalues
+        ts, predicted = [x**2 for x in hs[-3:]], found[-3:]
+        for d in range(1, len(predicted)):
+            predicted = [
+                q + (q - p) * (h**2 - ts[i + d]) / (ts[i + d] - ts[i])
+                for i, (p, q) in enumerate(zip(predicted, predicted[1:]))
+            ]
+        predicted = predicted[0] if predicted else ()
         ham = finest if grid is grids[-1] else assemble(params, m, grid)
         spectrum = lowest_eigenvalues(ham, len(exact), predicted)
         hs.append(h)
@@ -497,11 +529,13 @@ def verify(a: float, m: int, n: int = 4000) -> VerificationReport:
     A ladder of scout grids of n/16, n/64, n/256, ... points, each down to
     that minimum, is solved first, smallest first.  The first grid solved
     has no prediction and is bisected from Gershgorin; every later grid, n/4
-    included once a scout precedes it, is predicted from the grids before it
-    (see _error_table) and isolated by Sturm counts at separators between
-    the predictions.  The report fails if any |E_hat - E| exceeds 10x the
-    fitted model prediction, the node counts differ from (0, 1), or the
-    overlap exceeds 1e-8.
+    included once a scout precedes it, is predicted from the polynomial in
+    h^2 through up to three grids before it (see _error_table) and isolated
+    by Sturm counts at separators between the predictions.  The norm and
+    overlap quadratures each call their integrand once unless they need
+    more than QUAD_SAMPLED intervals.  The report fails if any |E_hat - E|
+    exceeds 10x the fitted model prediction, the node counts differ from
+    (0, 1), or the overlap exceeds 1e-8.
     """
     if n < 64:
         raise ValueError(f"verify needs n >= 64 grid points (its coarsest grid has n // 4), got {n}")

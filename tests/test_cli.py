@@ -349,6 +349,20 @@ class TestNormalize:
         assert (code, out) == (4, "")
         assert "norm integral" in err
 
+    def test_overflowing_norm_integral_exits_4(self, capsys):
+        # on the MINUS branch R is finite on the grid but R^2 overflows; the
+        # quadrature used to warn, double 20 times and report non-convergence
+        a, c, m = 2.6034814692355e243, 4.657280431813428e-242, 2
+        b = ground_constraint_b(a, c, m, SignBranch.MINUS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(
+                capsys, "normalize", "--state", "ground", "--a", repr(a), "--c", repr(c),
+                "--m", str(m), "--b", repr(b),
+            )
+        assert (code, out) == (4, "")
+        assert "norm integral" in err and "is inf" in err
+
     def test_quadrature_failure_exits_4(self, capsys, monkeypatch):
         def broken(state, grid):
             raise ConvergenceError("synthetic quadrature failure")

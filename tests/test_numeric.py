@@ -378,7 +378,53 @@ class TestNodeCount:
             assert node_count(vec) == k
 
 
+def simpson_afresh(f, grid, abs_tol=0.0):
+    """quadrature's doubling with every level sampled on its own linspace:
+    the estimate and the intervals it stopped at."""
+    a, b = grid.r_min, grid.r_max
+    intervals, prev = 16, None
+    while True:
+        y = np.asarray(f(np.linspace(a, b, intervals + 1)), dtype=float)
+        h = (b - a) / intervals
+        cur = h / 3.0 * float(y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2]))
+        if prev is not None and abs(cur - prev) <= max(1e-10 * max(abs(cur), abs(prev)), abs_tol):
+            return cur, intervals
+        intervals, prev = 2 * intervals, cur
+
+
 class TestQuadrature:
+    def test_integrand_is_called_once(self, sec3, sec3_grid):
+        # sampling every level afresh called it 7 times, on 16 to 1024 intervals
+        def f(r):
+            return radial_eval(sec3.ground, r) ** 2
+
+        calls = []
+        quadrature(lambda r: calls.append(len(r)) or f(r), sec3_grid)
+        assert calls == [numeric.QUAD_SAMPLED + 1]
+        assert simpson_afresh(f, sec3_grid)[1] <= numeric.QUAD_SAMPLED
+
+    @pytest.mark.parametrize("integrand", ["ground", "excited", "narrow"])
+    def test_equals_sampling_each_level_afresh(self, sec3, sec3_grid, integrand):
+        f = {
+            "ground": lambda r: radial_eval(sec3.ground, r) ** 2,
+            "excited": lambda r: radial_eval(sec3.excited, r) ** 2,
+            # 0.01 wide on an interval of 9: past QUAD_SAMPLED intervals, so
+            # the later doublings sample only their midpoints
+            "narrow": lambda r: np.exp(-(((r - 3.0) / 0.01) ** 2)),
+        }[integrand]
+        calls = []
+        got = quadrature(lambda r: calls.append(1) or f(r), sec3_grid)
+        want, intervals = simpson_afresh(f, sec3_grid)
+        assert got == want
+        assert len(calls) == 1 + max(0, round(math.log2(intervals / numeric.QUAD_SAMPLED)))
+        assert (intervals > numeric.QUAD_SAMPLED) == (integrand == "narrow")
+
+    def test_non_finite_estimate_returns_at_once(self, sec3_grid):
+        # doubling on, it swept 16 * 2^20 intervals and raised ConvergenceError
+        calls = []
+        got = quadrature(lambda r: calls.append(1) or np.full_like(r, np.inf), sec3_grid)
+        assert got == math.inf and len(calls) == 1
+
     def test_zero_function(self, sec3_grid):
         assert quadrature(lambda r: np.zeros_like(r), sec3_grid) == 0.0
 
@@ -536,14 +582,26 @@ class TestVerify:
     def test_fine_verify_sweeps_few_elements(self, monkeypatch):
         # counts stop at the outer turning point and only the 62-point rung
         # is bisected; full-grid counts and a bisected 2000-point first
-        # scout swept 605,528 elements
+        # scout swept 605,528 elements, predictions from a line in h^2
+        # through two grids 379,320
         sweeps, passes = [], []
         real_pivots, real_count = numeric._pivots, numeric.sturm_count
         monkeypatch.setattr(numeric, "_pivots", lambda d, *rest: sweeps.append(len(d)) or real_pivots(d, *rest))
         monkeypatch.setattr(numeric, "sturm_count", lambda h, x: passes.append(h.n) or real_count(h, x))
         verify(1.0, 0, 64000)
-        assert sum(sweeps) <= 400000
+        assert sum(sweeps) <= 360000
         assert all(passes.count(n) <= 2 for n in set(passes) - {passes[0]})
+
+    def test_extrapolated_predictions_take_one_rayleigh_step(self, monkeypatch):
+        # the quadratic in h^2 through the 250-, 1000- and 4000-point grids
+        # predicts the 16000-point grid to a fraction of its rounding floor;
+        # the line through the last two missed by 3-6 floors, so each
+        # eigenvalue took a second step
+        sizes = []
+        real = numeric._twisted_rayleigh
+        monkeypatch.setattr(numeric, "_twisted_rayleigh", lambda h, x: sizes.append(h.n) or real(h, x))
+        assert verify(1.0, 0, 64000).passed
+        assert sizes.count(16000) <= 2
 
     def test_small_predicted_grids_take_one_pass_per_eigenvalue(self, monkeypatch):
         # predictions on these grids are tens of percent off, but a
