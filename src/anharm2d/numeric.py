@@ -5,9 +5,9 @@ second-order central differences on a truncated uniform grid, extracts the
 low spectrum from scratch (no library eigensolver) and provides Simpson
 quadrature for normalization, overlaps and convergence diagnostics.  The
 quadrature calls its integrand once for every level up to QUAD_SAMPLED
-intervals, and past that only on each doubling's new midpoints.  Each
-eigenvalue is isolated by Sturm counts, each of which stops at the shift's
-outer turning point, past which no pivot can turn negative.  With
+intervals, and past that once per doubling.  Each eigenvalue is isolated
+by Sturm counts, each of which stops at the shift's outer turning point,
+past which no pivot can turn negative.  With
 eigenvalues predicted from coarser grids (never from the closed form), one
 count at a separator halfway between two predictions, far from both
 eigenvalues, bounds each eigenvalue from above.  Each grid is predicted
@@ -372,8 +372,8 @@ def quadrature(f, grid: RadialGrid, abs_tol: float = 0.0) -> float:
 
     f is called once on QUAD_SAMPLED + 1 equispaced points, and the levels
     up to QUAD_SAMPLED intervals are strided views of those samples; the
-    call, not the points, is what costs.  Each later doubling evaluates
-    only its new midpoints.  linspace(a, b, 1025)[::64] equals
+    call, not the points, is what costs.  Each later doubling calls f once
+    on its own linspace.  linspace(a, b, 1025)[::64] equals
     linspace(a, b, 17) bit for bit, so every estimate is that of sampling
     each level afresh.
 
@@ -385,11 +385,8 @@ def quadrature(f, grid: RadialGrid, abs_tol: float = 0.0) -> float:
     intervals, prev = 16, None
     for _ in range(QUAD_MAX_DOUBLINGS + 1):
         h = (b - a) / intervals
-        if intervals > QUAD_SAMPLED:
-            finer = np.empty(intervals + 1)
-            finer[::2] = y
-            finer[1::2] = f(np.arange(1, intervals, 2, dtype=float) * h + a)
-            y = finer
+        if intervals > len(y) - 1:
+            y = np.asarray(f(np.linspace(a, b, intervals + 1)), dtype=float)
         cur = _simpson(y[:: (len(y) - 1) // intervals], h)
         if not math.isfinite(cur) or (
             prev is not None and abs(cur - prev) <= max(QUAD_REL_TOL * max(abs(cur), abs(prev)), abs_tol)
@@ -426,10 +423,9 @@ def _cosine(s1: ClosedFormState, s2: ClosedFormState, grid: RadialGrid, i1: floa
     """overlap(s1, s2, grid) from the norm integrals i1 and i2 of s1 and s2."""
     scale = math.sqrt(i1 * i2)
     # orthogonal pairs cancel to ~0; resolve the cosine itself to 1e-11
-    with np.errstate(over="ignore"):
-        cross = quadrature(
-            lambda r: radial_eval(s1, r) * radial_eval(s2, r), grid, abs_tol=1e-11 * scale
-        )
+    cross = quadrature(
+        lambda r: radial_eval(s1, r) * radial_eval(s2, r), grid, abs_tol=1e-11 * scale
+    )
     return cross / scale
 
 
@@ -531,11 +527,9 @@ def verify(a: float, m: int, n: int = 4000) -> VerificationReport:
     has no prediction and is bisected from Gershgorin; every later grid, n/4
     included once a scout precedes it, is predicted from the polynomial in
     h^2 through up to three grids before it (see _error_table) and isolated
-    by Sturm counts at separators between the predictions.  The norm and
-    overlap quadratures each call their integrand once unless they need
-    more than QUAD_SAMPLED intervals.  The report fails if any |E_hat - E|
-    exceeds 10x the fitted model prediction, the node counts differ from
-    (0, 1), or the overlap exceeds 1e-8.
+    by Sturm counts at separators between the predictions.  The report
+    fails if any |E_hat - E| exceeds 10x the fitted model prediction, the
+    node counts differ from (0, 1), or the overlap exceeds 1e-8.
     """
     if n < 64:
         raise ValueError(f"verify needs n >= 64 grid points (its coarsest grid has n // 4), got {n}")

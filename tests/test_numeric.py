@@ -393,29 +393,20 @@ def simpson_afresh(f, grid, abs_tol=0.0):
 
 
 class TestQuadrature:
-    def test_integrand_is_called_once(self, sec3, sec3_grid):
-        # sampling every level afresh called it 7 times, on 16 to 1024 intervals
-        def f(r):
-            return radial_eval(sec3.ground, r) ** 2
-
-        calls = []
-        quadrature(lambda r: calls.append(len(r)) or f(r), sec3_grid)
-        assert calls == [numeric.QUAD_SAMPLED + 1]
-        assert simpson_afresh(f, sec3_grid)[1] <= numeric.QUAD_SAMPLED
-
     @pytest.mark.parametrize("integrand", ["ground", "excited", "narrow"])
     def test_equals_sampling_each_level_afresh(self, sec3, sec3_grid, integrand):
         f = {
             "ground": lambda r: radial_eval(sec3.ground, r) ** 2,
             "excited": lambda r: radial_eval(sec3.excited, r) ** 2,
             # 0.01 wide on an interval of 9: past QUAD_SAMPLED intervals, so
-            # the later doublings sample only their midpoints
+            # each later doubling calls it again
             "narrow": lambda r: np.exp(-(((r - 3.0) / 0.01) ** 2)),
         }[integrand]
         calls = []
-        got = quadrature(lambda r: calls.append(1) or f(r), sec3_grid)
+        got = quadrature(lambda r: calls.append(len(r)) or f(r), sec3_grid)
         want, intervals = simpson_afresh(f, sec3_grid)
         assert got == want
+        assert calls[0] == numeric.QUAD_SAMPLED + 1
         assert len(calls) == 1 + max(0, round(math.log2(intervals / numeric.QUAD_SAMPLED)))
         assert (intervals > numeric.QUAD_SAMPLED) == (integrand == "narrow")
 
@@ -582,8 +573,7 @@ class TestVerify:
     def test_fine_verify_sweeps_few_elements(self, monkeypatch):
         # counts stop at the outer turning point and only the 62-point rung
         # is bisected; full-grid counts and a bisected 2000-point first
-        # scout swept 605,528 elements, predictions from a line in h^2
-        # through two grids 379,320
+        # scout swept 605,528 elements
         sweeps, passes = [], []
         real_pivots, real_count = numeric._pivots, numeric.sturm_count
         monkeypatch.setattr(numeric, "_pivots", lambda d, *rest: sweeps.append(len(d)) or real_pivots(d, *rest))
