@@ -18,12 +18,17 @@ the prediction itself, and the pair is kept only if the last step's
 correction is at rounding level and the residual bound |T v - rho v| keeps
 the pair inside its separators.  Otherwise, or with no prediction, the
 bracket is bisected to 1e-3 relative and refined from its midpoint, and
-the Rayleigh quotient must stay inside it.  Each step sweeps backward over
-the whole grid but forward only up to the eigenvector's peak; a stencil
-too coarse for its eigenvectors to peak inside the grid fails the
-certificate with ConvergenceError.  A ladder of scout grids, each 4x
-smaller than the next, supplies the first predictions, so bisection from
-the Gershgorin bounds runs only on its smallest rung, of at most 63 points.
+the Rayleigh quotient must stay inside it.  Each step started from a
+prediction is guided by the previous grid's eigenvector: it sweeps forward
+up to just past that vector's peak and backward from just past where it
+falls below NODE_REL_FLOOR, with every entry beyond that zero, and its
+residual counts the coupling cut there, so the certificate stays a proof.
+A fallback step sweeps backward over the whole grid and forward up to the
+eigenvector's peak; a stencil too coarse for its eigenvectors to peak
+inside the grid fails the certificate with ConvergenceError.  A ladder of
+scout grids, each 4x smaller than the next, supplies the first
+predictions and guides, so bisection from the Gershgorin bounds runs only
+on its smallest rung, of at most 63 points.
 
 The half-line domain is truncated where both exponential tails of the exact
 states fall below exp(-T) of their peak scale, with T = TAIL_THRESHOLD = 45
@@ -196,7 +201,7 @@ def _gershgorin_bounds(ham: DiscreteHamiltonian):
     return float(np.min(d - radius)), float(np.max(d + radius))
 
 
-def _twisted_rayleigh(ham: DiscreteHamiltonian, sigma: float):
+def _twisted_rayleigh(ham: DiscreteHamiltonian, sigma: float, window=None):
     """One Rayleigh-quotient step on the twisted-factorization vector at sigma.
 
     With forward pivots D+ and backward pivots D- of T - sigma I, the twist
@@ -205,34 +210,70 @@ def _twisted_rayleigh(ham: DiscreteHamiltonian, sigma: float):
     satisfies (T - sigma I) z = gamma_r e_r, so its Rayleigh quotient is
     rho = sigma + gamma_r / |z|^2, its unit vector v = z / |z| has the
     residual |T v - rho v| = |gamma_r| / |z| * sqrt(1 - 1/|z|^2), and every
-    entry, tails included, carries relative accuracy (Parlett & Dhillon,
-    LAA 267, 1997).
+    entry carries relative accuracy (Parlett & Dhillon, LAA 267, 1997).
 
-    |gamma_r| is smallest where the eigenvector peaks, so only the backward
-    sweep covers the grid.  Its vector grows while |D-_i| < |e|, so it peaks
-    at end, the last such i (0 if none); the forward sweep stops there and r
-    is sought in [0, end], as LAPACK's dlar1v seeks it in a window.  On the
-    grids build_grid makes, where |gamma| still falls past end it does so by
-    one index and by < 5e-5 relative, which moves the quotient only at
-    rounding level.  On a stencil too coarse for
+    |gamma_r| is smallest where the eigenvector peaks, and r is sought in a
+    window around the peak, as LAPACK's dlar1v seeks it.  window =
+    (lo, hi, stop), from _window, places it: the forward sweep covers
+    [0, hi], the backward sweep [lo, stop) with a Dirichlet end at stop, r
+    lies in [lo, hi] and z is 0 from stop on.  Then (T - sigma I) z =
+    gamma_r e_r + e z_(stop-1) e_stop exactly, and the residual carries that
+    edge term: sqrt(gamma_r^2 (1 - 1/|z|^2) + e^2 z_(stop-1)^2) / |z|.  So it
+    stays a true bound however the window was chosen; a window that cuts
+    the vector where it is not small only makes the residual large.
+
+    With no window the backward sweep covers the grid.  Its vector grows
+    while |D-_i| < |e|, so it peaks at hi, the last such i (0 if none); the
+    forward sweep stops there and r is sought in [0, hi].  On the grids
+    build_grid makes, where |gamma| still falls past hi it does so by one
+    index and by < 5e-5 relative, which moves the quotient only at rounding
+    level.  On a stencil too coarse for
     the vector to peak inside the grid the quotient misses the isolating
     bracket, and lowest_eigenvalues raises ConvergenceError.
     Returns the unit vector, its Rayleigh quotient and its residual.
     """
     d, e2, pivmin = ham._recurrence
-    bwd = _pivots(d[::-1], e2, sigma, pivmin)[1][::-1]
-    grows = np.flatnonzero(np.abs(bwd) < abs(ham.offdiag))
-    end = int(grows[-1]) if grows.size else 0
-    fwd = _pivots(d[:end + 1], e2, sigma, pivmin)[1]
-    gamma = fwd + bwd[:end + 1] - (ham.diag[:end + 1] - sigma)
-    r = int(np.argmin(np.abs(gamma)))
-    z = np.ones(ham.n)
+    e = abs(ham.offdiag)
+    lo, hi, stop = window or (0, None, ham.n)
+    bwd = _pivots(d[lo:stop][::-1], e2, sigma, pivmin)[1][::-1]  # D-_i at bwd[i - lo]
+    if window is None:
+        grows = np.flatnonzero(np.abs(bwd) < e)
+        hi = int(grows[-1]) if grows.size else 0
+    fwd = _pivots(d[:hi + 1], e2, sigma, pivmin)[1]
+    gamma = fwd[lo:] + bwd[:hi + 1 - lo] - (ham.diag[lo:hi + 1] - sigma)
+    r = lo + int(np.argmin(np.abs(gamma)))
+    z = np.zeros(ham.n)
+    z[r] = 1.0
     z[:r] = np.cumprod((-ham.offdiag / fwd[:r])[::-1])[::-1]
-    z[r + 1:] = np.cumprod(-ham.offdiag / bwd[r + 1:])
+    z[r + 1:stop] = np.cumprod(-ham.offdiag / bwd[r + 1 - lo:])
     norm2 = float(z @ z)
     norm = math.sqrt(norm2)
-    gamma_r = float(gamma[r])
-    return z / norm, sigma + gamma_r / norm2, abs(gamma_r) / norm * math.sqrt(1.0 - 1.0 / norm2)
+    gamma_r = float(gamma[r - lo])
+    edge = e * z[stop - 1] if stop < ham.n else 0.0  # (T - sigma I) z at stop
+    res = math.hypot(gamma_r * math.sqrt(1.0 - 1.0 / norm2), edge) / norm
+    return z / norm, sigma + gamma_r / norm2, res
+
+
+def _window(guide: np.ndarray, n: int) -> tuple[int, int, int]:
+    """The window (lo, hi, stop) of _twisted_rayleigh on an n-point grid of
+    the interval that guide, a unit eigenvector on a coarser grid, spans.
+
+    Index i of the guide's grid sits where index (i+1)(n+1)/(len+1) - 1
+    of this one does.  lo and hi are the guide's peak -+ margin, and stop is
+    its last entry not below NODE_REL_FLOOR of the peak, + margin, where
+    margin = ceil(n / len) + 2 covers one guide spacing and rounding.  Past
+    stop the eigenvector is below the floor node_count ignores."""
+    size = len(guide)
+    mags = np.abs(guide)
+    peak = int(np.argmax(mags))
+    last = int(np.flatnonzero(mags >= NODE_REL_FLOOR * mags[peak])[-1])
+    margin = -(-n // size) + 2
+
+    def at(i):
+        return round((i + 1) * (n + 1) / (size + 1)) - 1
+
+    stop = min(at(last) + margin, n)
+    return max(at(peak) - margin, 0), min(at(peak) + margin, stop - 1), stop
 
 
 @dataclass(frozen=True)
@@ -248,7 +289,10 @@ class SpectrumResult:
 
 
 def lowest_eigenvalues(
-    ham: DiscreteHamiltonian, k: int, predicted: Sequence[float] = ()
+    ham: DiscreteHamiltonian,
+    k: int,
+    predicted: Sequence[float] = (),
+    guides: Sequence[np.ndarray] = (),
 ) -> SpectrumResult:
     """k smallest eigenpairs via Sturm-count isolation then
     twisted-factorization Rayleigh refinement.
@@ -272,11 +316,18 @@ def lowest_eigenvalues(
     within res of rho (Parlett, The Symmetric Eigenvalue Problem, 1980),
     and lambda_j is the only one in (a, b).
 
+    guides, unit eigenvectors of the same operator on a coarser grid of the
+    same interval, one per eigenvalue, window these steps (_window): they
+    sweep only around where guides[j-1] peaks and up to where it falls
+    below NODE_REL_FLOOR, and the residual includes the coupling cut there.
+    A misleading guide can make the pair fail its test, never pass it
+    wrongly.
+
     Otherwise (no usable prediction, a separator that does not isolate, or
     a pair that fails that test) bisection narrows the bracket, separators
     included, until b - a is within 1e-3 of max(|a|, |b|, floor), Rayleigh
-    steps start from its midpoint, and the pair is accepted if rho lies
-    inside [a, b].
+    steps start from its midpoint, unguided, and the pair is accepted if
+    rho lies inside [a, b].
 
     On both paths a Rayleigh step is the last once it moves the quotient by
     at most eps * max(|lo|, |hi|), lo and hi the Gershgorin ends, or after
@@ -303,26 +354,28 @@ def lowest_eigenvalues(
         b, count_b = min(probe for probe in probes if probe[1] >= j)
         return a, b, count_a == j - 1 and count_b == j
 
-    def refine(sigma):
+    def refine(sigma, window=None):
         # Rayleigh-quotient iteration converges cubically; a step whose
         # correction is already at rounding level made its vector there
         for _ in range(RAYLEIGH_STEPS):
-            v, rho, res = _twisted_rayleigh(ham, sigma)
+            v, rho, res = _twisted_rayleigh(ham, sigma, window)
             if abs(rho - sigma) <= rounding:
                 return v, rho, res, True
             sigma = rho
         return v, rho, res, False
 
+    windows = [_window(g, n) for g in guides[:k]]
+    windows += [None] * (k - len(windows))
     values = []
     vectors = []
-    for j, (pj, separator) in enumerate(zip(p, separators), start=1):
+    for j, (pj, separator, window) in enumerate(zip(p, separators, windows), start=1):
         a, b, isolated = bracket(j)
         if a < separator < b:
             probes.append((separator, sturm_count(ham, separator)))
             a, b, isolated = bracket(j)
         accepted = False
         if isolated and a < pj < b:
-            v, rho, res, settled = refine(pj)
+            v, rho, res, settled = refine(pj, window)
             slack = res + 4.0 * rounding
             accepted = settled and a < rho - slack and rho + slack < b
         if not accepted:
@@ -446,7 +499,10 @@ def _error_table(params: PotentialParams, m: int, exact: tuple, n_list):
     in h^2 through the last three (Richardson extrapolation carried one
     order further), each evaluated at this grid's h^2.  The quadratic also
     cancels the h^4 term, so on the larger grids a prediction misses by
-    less than the rounding floor and one Rayleigh step settles it.
+    less than the rounding floor and one Rayleigh step settles it.  The
+    previous grid's eigenvectors go along as guides, so that step sweeps
+    only up to where they fall below NODE_REL_FLOOR (74% and 85% of the
+    64000-point grid of verify(1, 0, 64000), ground and excited).
     Predictions that keep the eigenvalues apart cost one Sturm pass per
     eigenvalue, at a separator between them; where a pair started from one
     fails its test, the bracket is bisected.  The first grid solved, the
@@ -461,7 +517,7 @@ def _error_table(params: PotentialParams, m: int, exact: tuple, n_list):
     # the finest operator first, so a grid too large to allocate fails at
     # once instead of after every rung below it
     finest = assemble(params, m, grids[-1])
-    hs, found = [], []
+    hs, found, guides = [], [], ()
     for grid in grids:
         h = grid.h
         # Neville's scheme in t = h^2 through the last three grids (fewer
@@ -475,9 +531,10 @@ def _error_table(params: PotentialParams, m: int, exact: tuple, n_list):
             ]
         predicted = predicted[0] if predicted else ()
         ham = finest if grid is grids[-1] else assemble(params, m, grid)
-        spectrum = lowest_eigenvalues(ham, len(exact), predicted)
+        spectrum = lowest_eigenvalues(ham, len(exact), predicted, guides)
         hs.append(h)
         found.append(spectrum.eigenvalues)
+        guides = spectrum.eigenvectors
     reported = slice(len(scouts), None)
     errs = np.abs(np.array(found[reported]) - np.array(exact)).T
     return np.array(hs[reported]), errs, grid, spectrum

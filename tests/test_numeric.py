@@ -128,6 +128,12 @@ def sec3_hamiltonian(n: int) -> DiscreteHamiltonian:
     return assemble(params, 0, build_grid(params, n))
 
 
+def coarse_vectors(n: int) -> np.ndarray:
+    """The two lowest unit eigenvectors of sec3_hamiltonian(n), as rows."""
+    ham = sec3_hamiltonian(n)
+    return eigh_tridiagonal(ham.diag, offdiag_entries(ham), select="i", select_range=(0, 1))[1].T
+
+
 def record_twist_sweeps(monkeypatch) -> list:
     """Patch numeric so that each _twisted_rayleigh call appends to the
     returned list the lengths of the _pivots sweeps it made."""
@@ -135,9 +141,9 @@ def record_twist_sweeps(monkeypatch) -> list:
     real_pivots, real_twisted = numeric._pivots, numeric._twisted_rayleigh
     monkeypatch.setattr(numeric, "_pivots", lambda d, *rest: sizes.append(len(d)) or real_pivots(d, *rest))
 
-    def twisted(ham, sigma):
+    def twisted(ham, sigma, window=None):
         start = len(sizes)
-        result = real_twisted(ham, sigma)
+        result = real_twisted(ham, sigma, window)
         twists.append(sizes[start:])
         return result
 
@@ -314,6 +320,36 @@ class TestEigensolver:
             direct = float(np.linalg.norm(apply(ham, v) - rho * v))
             assert res == pytest.approx(direct, rel=1e-6)
             assert res > 1e3 * rounding_floor(ham)
+
+    @pytest.mark.parametrize("n", [1000, 64000])
+    def test_guided_twist_residual_includes_the_edge(self, sec3, n):
+        # windows from the n/4-point grid's vectors end the backward sweep
+        # short of the grid, so (T - sigma) z gains e z_(stop-1) at stop; a
+        # guide cut at 1e-3 of its peak makes that edge term count
+        ham = sec3_hamiltonian(n)
+        guides = coarse_vectors(n // 4)
+        for sigma, guide in zip((sec3.ground.energy * 1.01, sec3.excited.energy * 0.99), guides):
+            cut = guide * (np.abs(guide) >= 1e-3 * np.max(np.abs(guide)))
+            for window in (numeric._window(guide, n), numeric._window(cut, n)):
+                assert window[2] < n
+                v, rho, res = numeric._twisted_rayleigh(ham, sigma, window)
+                assert not np.any(v[window[2]:])
+                direct = float(np.linalg.norm(apply(ham, v) - rho * v))
+                assert res == pytest.approx(direct, rel=1e-6)
+                assert res > 1e3 * rounding_floor(ham)
+
+    @pytest.mark.parametrize("mislead", ["swapped", "reversed"])
+    def test_misleading_guides_give_the_certified_pair(self, mislead):
+        # each eigenvalue guided by the other level's vector, or by a vector
+        # that peaks at the wrong end of the grid: the residual certificate
+        # still holds, or its failure sends the pair to the unguided fallback
+        ham = sec3_hamiltonian(1000)
+        ref = library_pair(ham)
+        guides = coarse_vectors(250)
+        guides = guides[::-1] if mislead == "swapped" else guides[:, ::-1]
+        result = lowest_eigenvalues(ham, 2, ref, guides)
+        assert np.all(np.abs(result.eigenvalues - ref) <= 2.0 * rounding_floor(ham))
+        assert [node_count(v) for v in result.eigenvectors] == [0, 1]
 
     @pytest.mark.parametrize("n", [43, 574])
     def test_twist_window_ends_at_the_peak(self, monkeypatch, n):
@@ -572,15 +608,33 @@ class TestVerify:
 
     def test_fine_verify_sweeps_few_elements(self, monkeypatch):
         # counts stop at the outer turning point and only the 62-point rung
-        # is bisected; full-grid counts and a bisected 2000-point first
-        # scout swept 605,528 elements
+        # is bisected, and guided Rayleigh steps stop where the coarser
+        # grid's vectors fall below the node floor; full-grid counts and a
+        # bisected 2000-point first scout swept 605,528 elements, unguided
+        # steps 342,947
         sweeps, passes = [], []
         real_pivots, real_count = numeric._pivots, numeric.sturm_count
         monkeypatch.setattr(numeric, "_pivots", lambda d, *rest: sweeps.append(len(d)) or real_pivots(d, *rest))
         monkeypatch.setattr(numeric, "sturm_count", lambda h, x: passes.append(h.n) or real_count(h, x))
         verify(1.0, 0, 64000)
-        assert sum(sweeps) <= 360000
+        assert sum(sweeps) <= 280000
         assert all(passes.count(n) <= 2 for n in set(passes) - {passes[0]})
+
+    def test_guided_steps_stop_short_of_the_grid_end(self, monkeypatch):
+        # each 64000-point step is guided by the 16000-point vectors and
+        # sweeps up to where they fall below the node floor; sweeping
+        # backward over the whole grid cost 1.08 n and 1.19 n
+        twists = record_twist_sweeps(monkeypatch)
+        recorded, guided = numeric._twisted_rayleigh, []
+        monkeypatch.setattr(
+            numeric,
+            "_twisted_rayleigh",
+            lambda h, x, window: guided.append((h.n, window is not None)) or recorded(h, x, window),
+        )
+        assert verify(1.0, 0, 64000).passed
+        fine = [sum(sweeps) for (n, by_guide), sweeps in zip(guided, twists) if n == 64000]
+        assert len(fine) == 2 and all(by_guide for n, by_guide in guided if n == 64000)
+        assert all(swept <= 0.9 * 64000 for swept in fine)
 
     def test_extrapolated_predictions_take_one_rayleigh_step(self, monkeypatch):
         # the quadratic in h^2 through the 250-, 1000- and 4000-point grids
@@ -589,7 +643,9 @@ class TestVerify:
         # eigenvalue took a second step
         sizes = []
         real = numeric._twisted_rayleigh
-        monkeypatch.setattr(numeric, "_twisted_rayleigh", lambda h, x: sizes.append(h.n) or real(h, x))
+        monkeypatch.setattr(
+            numeric, "_twisted_rayleigh", lambda h, x, window: sizes.append(h.n) or real(h, x, window)
+        )
         assert verify(1.0, 0, 64000).passed
         assert sizes.count(16000) <= 2
 
@@ -653,7 +709,9 @@ class TestVerify:
         # took 12 steps and 176000 points of Rayleigh work
         sizes = []
         real = numeric._twisted_rayleigh
-        monkeypatch.setattr(numeric, "_twisted_rayleigh", lambda h, x: sizes.append(h.n) or real(h, x))
+        monkeypatch.setattr(
+            numeric, "_twisted_rayleigh", lambda h, x, window: sizes.append(h.n) or real(h, x, window)
+        )
         assert verify(1.0, 0, 32000).passed
         assert sum(sizes.count(n) for n in (8000, 16000, 32000)) <= 8
         assert sum(sizes) <= 160000
