@@ -7,28 +7,28 @@ quadrature for normalization, overlaps and convergence diagnostics.  The
 quadrature calls its integrand once for every level up to QUAD_SAMPLED
 intervals, and past that once per doubling.  Each eigenvalue is isolated
 by Sturm counts, each of which stops at the shift's outer turning point,
-past which no pivot can turn negative.  With
-eigenvalues predicted from coarser grids (never from the closed form), one
-count at a separator halfway between two predictions, far from both
-eigenvalues, bounds each eigenvalue from above.  Each grid is predicted
-from the polynomial in h^2 through the last three grids solved, which on
-the larger grids misses by a fraction of the rounding floor.
+past which no pivot can turn negative.  With eigenvalues predicted from
+coarser grids (never from the closed form), one count at a separator
+above the last prediction certifies the whole grid.  Each grid is
+predicted from the polynomial in h^2 through the last three grids solved,
+which on the larger grids misses by a fraction of the rounding floor.
 Rayleigh-quotient steps on twisted-factorization eigenvectors start from
-the prediction itself, and the pair is kept only if the last step's
-correction is at rounding level and the residual bound |T v - rho v| keeps
-the pair inside its separators.  Otherwise, or with no prediction, the
-bracket is bisected to 1e-3 relative and refined from its midpoint, and
-the Rayleigh quotient must stay inside it.  Each step started from a
-prediction is guided by the previous grid's eigenvector: it sweeps forward
-up to just past that vector's peak and backward from just past where it
-falls below NODE_REL_FLOOR, with every entry beyond that zero, and its
-residual counts the coupling cut there, so the certificate stays a proof.
-A fallback step sweeps backward over the whole grid and forward up to the
-eigenvector's peak; a stencil too coarse for its eigenvectors to peak
-inside the grid fails the certificate with ConvergenceError.  A ladder of
-scout grids, each 4x smaller than the next, supplies the first
-predictions and guides, so bisection from the Gershgorin bounds runs only
-on its smallest rung, of at most 63 points.
+each prediction itself, and the pairs are kept only if every last step's
+correction is at rounding level and the residual bounds
+rho +- |T v - rho v| are disjoint and all lie under the separator, whose
+count must equal their number.  Otherwise, or with no prediction, each
+eigenvalue's bracket is bisected to 1e-3 relative and refined from its
+midpoint, and the Rayleigh quotient must stay inside it.  Each step
+started from a prediction is guided by the previous grid's eigenvector:
+it sweeps forward up to just past that vector's peak and backward from
+just past where it falls below NODE_REL_FLOOR, with every entry beyond
+that zero, and its residual counts the coupling cut there, so the
+certificate stays a proof.  A fallback step sweeps backward over the
+whole grid and forward up to the eigenvector's peak; a stencil too coarse
+for its eigenvectors to peak inside the grid fails the certificate with
+ConvergenceError.  A ladder of scout grids, each 4x smaller than the next,
+supplies the first predictions and guides, so bisection from the
+Gershgorin bounds runs only on its smallest rung, of at most 63 points.
 
 The half-line domain is truncated where both exponential tails of the exact
 states fall below exp(-T) of their peak scale, with T = TAIL_THRESHOLD = 45
@@ -288,6 +288,11 @@ class SpectrumResult:
     eigenvectors: np.ndarray  # shape (k, n)
 
 
+def _signed(v: np.ndarray) -> np.ndarray:
+    """v with its first nonzero entry positive."""
+    return -v if v[np.flatnonzero(np.abs(v) > 0.0)[0]] < 0.0 else v
+
+
 def lowest_eigenvalues(
     ham: DiscreteHamiltonian,
     k: int,
@@ -297,43 +302,39 @@ def lowest_eigenvalues(
     """k smallest eigenpairs via Sturm-count isolation then
     twisted-factorization Rayleigh refinement.
 
-    Every Sturm probe made on the matrix, the two Gershgorin ends included,
-    goes into one table of (shift, count).  The j-th eigenvalue is isolated
-    by the bracket [a, b] of the largest shift with count <= j-1 and the
-    smallest with count >= j, once sturm_count(a) = j-1 and
-    sturm_count(b) = j, so probes made for earlier eigenvalues bound it too.
-
     Predictions p_1 < ... < p_k (k >= 2, all finite, strictly ascending)
-    give one separator probe above each: the midpoint of p_j and p_(j+1),
-    and p_k + (p_k - p_(k-1))/2 above the last.  A separator lies far from
-    both eigenvalues it separates, so its count is robust, and with the
-    Gershgorin lo below lambda_1 the k separators isolate all k eigenvalues
-    in k passes.  Where the counts isolate lambda_j in (a, b) and p_j lies
-    inside, Rayleigh steps start from sigma = p_j.  Their pair is accepted
-    only if the refinement stopped on its rounding-level test and
-    [rho - res - s, rho + res + s] lies inside (a, b), res the residual
-    |T v - rho v| and s = 4 eps * max(|lo|, |hi|): some eigenvalue lies
-    within res of rho (Parlett, The Symmetric Eigenvalue Problem, 1980),
-    and lambda_j is the only one in (a, b).
+    give one Sturm count, at top = p_k + (p_k - p_(k-1))/2.  If it counts k
+    eigenvalues, Rayleigh steps start from each p_j, and all k pairs are
+    returned at once if every refinement stopped on its rounding-level
+    test and the intervals [rho_j - res_j - s, rho_j + res_j + s] ascend
+    without overlap and end below top, res_j the residual |T v - rho v|
+    and s = 4 eps * max(|lo|, |hi|), lo and hi the Gershgorin ends.  Each
+    interval holds an eigenvalue (Parlett, The Symmetric Eigenvalue
+    Problem, 1980), and k disjoint ones below top, where only
+    lambda_1 ... lambda_k lie, hold exactly those, in order.
 
     guides, unit eigenvectors of the same operator on a coarser grid of the
     same interval, one per eigenvalue, window these steps (_window): they
     sweep only around where guides[j-1] peaks and up to where it falls
     below NODE_REL_FLOOR, and the residual includes the coupling cut there.
-    A misleading guide can make the pair fail its test, never pass it
+    A misleading guide can make the pairs fail their test, never pass it
     wrongly.
 
-    Otherwise (no usable prediction, a separator that does not isolate, or
-    a pair that fails that test) bisection narrows the bracket, separators
-    included, until b - a is within 1e-3 of max(|a|, |b|, floor), Rayleigh
-    steps start from its midpoint, unguided, and the pair is accepted if
-    rho lies inside [a, b].
+    Otherwise (no usable prediction, or pairs that fail that test) each
+    eigenvalue is bisected in turn.  Every Sturm probe made on the matrix,
+    the Gershgorin ends and top included, goes into one table of (shift,
+    count).  The j-th eigenvalue is isolated by the bracket [a, b] of the
+    largest shift with count <= j-1 and the smallest with count >= j, once
+    sturm_count(a) = j-1 and sturm_count(b) = j, so probes made for earlier
+    eigenvalues bound it too.  Bisection narrows the bracket until b - a is
+    within 1e-3 of max(|a|, |b|, floor), Rayleigh steps start from its
+    midpoint, unguided, and the pair is accepted if rho lies inside [a, b].
 
     On both paths a Rayleigh step is the last once it moves the quotient by
-    at most eps * max(|lo|, |hi|), lo and hi the Gershgorin ends, or after
-    RAYLEIGH_STEPS; the pair is that step's vector and quotient.  Either
-    acceptance rule also makes the eigenvalues ascend with none skipped; a
-    pair that fails the second raises ConvergenceError.
+    at most eps * max(|lo|, |hi|), or after RAYLEIGH_STEPS; the pair is
+    that step's vector and quotient.  Either acceptance rule also makes the
+    eigenvalues ascend with none skipped; a pair that fails the second
+    raises ConvergenceError.
     """
     n = ham.n
     if not 1 <= k <= n:
@@ -342,17 +343,6 @@ def lowest_eigenvalues(
     floor = 1e-9 * (hi - lo)  # keeps an eigenvalue near 0 from bisecting to underflow
     rounding = np.finfo(float).eps * max(abs(lo), abs(hi))  # a Rayleigh step this small ends refinement
     probes = [(lo, 0), (hi, n)]
-    p = [float(x) for x in predicted[:k]]
-    if k >= 2 and len(p) == k and all(map(math.isfinite, p)) and all(map(float.__lt__, p, p[1:])):
-        separators = [0.5 * (x + y) for x, y in zip(p, p[1:])] + [p[-1] + 0.5 * (p[-1] - p[-2])]
-    else:
-        separators = [math.nan] * k
-        p += [math.nan] * (k - len(p))
-
-    def bracket(j):
-        a, count_a = max(probe for probe in probes if probe[1] <= j - 1)
-        b, count_b = min(probe for probe in probes if probe[1] >= j)
-        return a, b, count_a == j - 1 and count_b == j
 
     def refine(sigma, window=None):
         # Rayleigh-quotient iteration converges cubically; a step whose
@@ -364,37 +354,42 @@ def lowest_eigenvalues(
             sigma = rho
         return v, rho, res, False
 
-    windows = [_window(g, n) for g in guides[:k]]
-    windows += [None] * (k - len(windows))
+    p = [float(x) for x in predicted[:k]]
+    if k >= 2 and len(p) == k and all(map(math.isfinite, p)) and all(map(float.__lt__, p, p[1:])):
+        top = p[-1] + 0.5 * (p[-1] - p[-2])
+        count = sturm_count(ham, top)
+        probes.append((top, count))
+        if count == k:
+            windows = [_window(g, n) for g in guides[:k]]
+            pairs = [refine(pj, window) for pj, window in zip(p, windows + [None] * k)]
+            slack = 4.0 * rounding  # rho_j -+ (res_j + slack) ascend disjoint, below top
+            ends = [end for _, rho, res, _ in pairs for end in (rho - res - slack, rho + res + slack)]
+            if all(settled for *_, settled in pairs) and all(map(float.__lt__, ends, [*ends[1:], top])):
+                return SpectrumResult(
+                    eigenvalues=np.array([rho for _, rho, _, _ in pairs]),
+                    eigenvectors=np.array([_signed(v) for v, *_ in pairs]),
+                )
+
+    def bracket(j):
+        a, count_a = max(probe for probe in probes if probe[1] <= j - 1)
+        b, count_b = min(probe for probe in probes if probe[1] >= j)
+        return a, b, count_a == j - 1 and count_b == j
+
     values = []
     vectors = []
-    for j, (pj, separator, window) in enumerate(zip(p, separators, windows), start=1):
+    for j in range(1, k + 1):
         a, b, isolated = bracket(j)
-        if a < separator < b:
-            probes.append((separator, sturm_count(ham, separator)))
+        while not (isolated and b - a <= 1e-3 * max(abs(a), abs(b), floor)):
+            shift = 0.5 * (a + b)
+            if not a < shift < b:
+                raise ConvergenceError(f"bisection could not isolate eigenvalue #{j} in [{a}, {b}]")
+            probes.append((shift, sturm_count(ham, shift)))
             a, b, isolated = bracket(j)
-        accepted = False
-        if isolated and a < pj < b:
-            v, rho, res, settled = refine(pj, window)
-            slack = res + 4.0 * rounding
-            accepted = settled and a < rho - slack and rho + slack < b
-        if not accepted:
-            while not (isolated and b - a <= 1e-3 * max(abs(a), abs(b), floor)):
-                shift = 0.5 * (a + b)
-                if not a < shift < b:
-                    raise ConvergenceError(f"bisection could not isolate eigenvalue #{j} in [{a}, {b}]")
-                probes.append((shift, sturm_count(ham, shift)))
-                a, b, isolated = bracket(j)
-            v, rho, _, _ = refine(0.5 * (a + b))
-            if not a <= rho <= b:
-                raise ConvergenceError(
-                    f"Rayleigh refinement of eigenvalue #{j} left its isolating bracket"
-                )
-        first = np.flatnonzero(np.abs(v) > 0.0)[0]
-        if v[first] < 0.0:
-            v = -v
+        v, rho, _, _ = refine(0.5 * (a + b))
+        if not a <= rho <= b:
+            raise ConvergenceError(f"Rayleigh refinement of eigenvalue #{j} left its isolating bracket")
         values.append(rho)
-        vectors.append(v)
+        vectors.append(_signed(v))
     return SpectrumResult(eigenvalues=np.array(values), eigenvectors=np.array(vectors))
 
 
@@ -504,12 +499,12 @@ def _error_table(params: PotentialParams, m: int, exact: tuple, n_list):
     only up to where they fall below NODE_REL_FLOOR (74% and 85% of the
     64000-point grid of verify(1, 0, 64000), ground and excited).
     Predictions that keep the eigenvalues apart cost one Sturm pass per
-    eigenvalue, at a separator between them; where a pair started from one
-    fails its test, the bracket is bisected.  The first grid solved, the
-    smallest rung (16 to 63 points when there is one), has no prediction and
-    is bisected from Gershgorin.  The finest operator is assembled before
-    any grid is solved, so one too large to allocate raises MemoryError at
-    once."""
+    grid, at a separator above the last of them; where the pairs started
+    from them fail their test, each eigenvalue is bisected.  The first grid
+    solved, the smallest rung (16 to 63 points when there is one), has no
+    prediction and is bisected from Gershgorin.  The finest operator is
+    assembled before any grid is solved, so one too large to allocate
+    raises MemoryError at once."""
     scouts = []
     while (rung := n_list[0] // 4 ** (len(scouts) + 1)) >= MIN_GRID_POINTS:
         scouts.insert(0, rung)
@@ -583,10 +578,11 @@ def verify(a: float, m: int, n: int = 4000) -> VerificationReport:
     that minimum, is solved first, smallest first.  The first grid solved
     has no prediction and is bisected from Gershgorin; every later grid, n/4
     included once a scout precedes it, is predicted from the polynomial in
-    h^2 through up to three grids before it (see _error_table) and isolated
-    by Sturm counts at separators between the predictions.  The report
-    fails if any |E_hat - E| exceeds 10x the fitted model prediction, the
-    node counts differ from (0, 1), or the overlap exceeds 1e-8.
+    h^2 through up to three grids before it (see _error_table) and its
+    pairs certified by one Sturm count above the last prediction.  The
+    report fails if any |E_hat - E| exceeds 10x the fitted model
+    prediction, the node counts differ from (0, 1), or the overlap exceeds
+    1e-8.
     """
     if n < 64:
         raise ValueError(f"verify needs n >= 64 grid points (its coarsest grid has n // 4), got {n}")
