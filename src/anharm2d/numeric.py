@@ -5,28 +5,17 @@ second-order central differences on a truncated uniform grid, extracts the
 low spectrum from scratch (no library eigensolver) and provides Simpson
 quadrature for normalization, overlaps and convergence diagnostics.  The
 quadrature calls its integrand once for every level up to QUAD_SAMPLED
-intervals, and past that once per doubling.  Each eigenvalue is isolated
-by Sturm counts, each of which stops at the shift's outer turning point,
-past which no pivot can turn negative.  With eigenvalues predicted from
-coarser grids (never from the closed form), one count at a separator
-above the last prediction certifies the whole grid.  Each grid is
-predicted from the polynomial in h^2 through the last three grids solved,
-which on the larger grids misses by a fraction of the rounding floor.
-Rayleigh-quotient steps on twisted-factorization eigenvectors start from
-each prediction itself, and the pairs are kept only if every last step's
-correction is at rounding level and the residual bounds
-rho +- |T v - rho v| are disjoint and all lie under the separator, whose
-count must equal their number.  Otherwise, or with no prediction, each
-eigenvalue's bracket is bisected to 1e-3 relative and refined from its
-midpoint, and the Rayleigh quotient must stay inside it.  Each step
-started from a prediction is guided by the previous grid's eigenvector:
-it sweeps forward up to just past that vector's peak and backward from
-just past where it falls below NODE_REL_FLOOR, with every entry beyond
-that zero, and its residual counts the coupling cut there, so the
-certificate stays a proof.  A fallback step sweeps backward over the
-whole grid and forward up to the eigenvector's peak; a stencil too coarse
-for its eigenvectors to peak inside the grid fails the certificate with
-ConvergenceError.  A ladder of scout grids, each 4x smaller than the next,
+intervals, and past that once per doubling.  Eigenpairs come from
+Rayleigh-quotient steps on twisted-factorization eigenvectors, and every
+pair returned passes one residual certificate, given with
+lowest_eigenvalues.  The steps start from eigenvalues predicted from
+coarser grids (never from the closed form), by the polynomial in h^2
+through the last three grids solved, with one Sturm count above the last
+prediction; each is guided by the previous grid's eigenvector (_window).
+Without a prediction, or when its pairs fail, bisection by Sturm counts
+supplies the starts: first only until each eigenvalue is isolated.  Each
+count stops at the shift's outer turning point, past which no pivot can
+turn negative.  A ladder of scout grids, each 4x smaller than the next,
 supplies the first predictions and guides, so bisection from the
 Gershgorin bounds runs only on its smallest rung, of at most 63 points.
 
@@ -227,9 +216,9 @@ def _twisted_rayleigh(ham: DiscreteHamiltonian, sigma: float, window=None):
     forward sweep stops there and r is sought in [0, hi].  On the grids
     build_grid makes, where |gamma| still falls past hi it does so by one
     index and by < 5e-5 relative, which moves the quotient only at rounding
-    level.  On a stencil too coarse for
-    the vector to peak inside the grid the quotient misses the isolating
-    bracket, and lowest_eigenvalues raises ConvergenceError.
+    level.  On a stencil too coarse for the vector to peak inside the grid
+    the pairs fail the certificate, and lowest_eigenvalues raises
+    ConvergenceError.
     Returns the unit vector, its Rayleigh quotient and its residual.
     """
     d, e2, pivmin = ham._recurrence
@@ -293,54 +282,67 @@ def _signed(v: np.ndarray) -> np.ndarray:
     return -v if v[np.flatnonzero(np.abs(v) > 0.0)[0]] < 0.0 else v
 
 
+def _certified(pairs, top: float, rounding: float):
+    """The SpectrumResult of pairs, each (v, rho, res, settled), if they
+    pass the certificate of lowest_eigenvalues at top; None otherwise."""
+    slack = 4.0 * rounding
+    ends = [end for _, rho, res, _ in pairs for end in (rho - res - slack, rho + res + slack)]
+    if not (all(settled for *_, settled in pairs) and all(map(float.__lt__, ends, [*ends[1:], top]))):
+        return None
+    return SpectrumResult(
+        eigenvalues=np.array([rho for _, rho, _, _ in pairs]),
+        eigenvectors=np.array([_signed(v) for v, *_ in pairs]),
+    )
+
+
 def lowest_eigenvalues(
     ham: DiscreteHamiltonian,
     k: int,
     predicted: Sequence[float] = (),
     guides: Sequence[np.ndarray] = (),
 ) -> SpectrumResult:
-    """k smallest eigenpairs via Sturm-count isolation then
-    twisted-factorization Rayleigh refinement.
+    """k smallest eigenpairs: Rayleigh refinement on twisted factorizations
+    from starting shifts, every returned pair accepted by one certificate.
+
+    The certificate (_certified) takes the k refined pairs and a shift top
+    whose Sturm count is k.  It holds if every refinement stopped on its
+    rounding-level test and the intervals [rho_j - res_j - s, rho_j + res_j
+    + s] ascend without overlap and end below top, res_j the residual
+    |T v - rho v| and s = 4 eps * max(|lo|, |hi|), lo and hi the Gershgorin
+    ends.  Each interval holds an eigenvalue (Parlett, The Symmetric
+    Eigenvalue Problem, 1980), and k disjoint ones below top, where only
+    lambda_1 ... lambda_k lie, hold exactly those, in order.  A refinement's
+    last step is the first that moves the quotient by at most
+    eps * max(|lo|, |hi|), or the RAYLEIGH_STEPS-th; the pair is that
+    step's vector and quotient.
 
     Predictions p_1 < ... < p_k (k >= 2, all finite, strictly ascending)
     give one Sturm count, at top = p_k + (p_k - p_(k-1))/2.  If it counts k
-    eigenvalues, Rayleigh steps start from each p_j, and all k pairs are
-    returned at once if every refinement stopped on its rounding-level
-    test and the intervals [rho_j - res_j - s, rho_j + res_j + s] ascend
-    without overlap and end below top, res_j the residual |T v - rho v|
-    and s = 4 eps * max(|lo|, |hi|), lo and hi the Gershgorin ends.  Each
-    interval holds an eigenvalue (Parlett, The Symmetric Eigenvalue
-    Problem, 1980), and k disjoint ones below top, where only
-    lambda_1 ... lambda_k lie, hold exactly those, in order.
-
-    guides, unit eigenvectors of the same operator on a coarser grid of the
-    same interval, one per eigenvalue, window these steps (_window): they
-    sweep only around where guides[j-1] peaks and up to where it falls
-    below NODE_REL_FLOOR, and the residual includes the coupling cut there.
-    A misleading guide can make the pairs fail their test, never pass it
+    eigenvalues, Rayleigh steps start from each p_j and the pairs are
+    returned if they pass the certificate at that top.  guides, unit
+    eigenvectors of the same operator on a coarser grid of the same
+    interval, one per eigenvalue, window these steps (_window): they sweep
+    only around where guides[j-1] peaks and up to where it falls below
+    NODE_REL_FLOOR, and the residual includes the coupling cut there.  A
+    misleading guide can make the pairs fail the certificate, never pass it
     wrongly.
 
-    Otherwise (no usable prediction, or pairs that fail that test) each
-    eigenvalue is bisected in turn.  Every Sturm probe made on the matrix,
-    the Gershgorin ends and top included, goes into one table of (shift,
-    count).  The j-th eigenvalue is isolated by the bracket [a, b] of the
-    largest shift with count <= j-1 and the smallest with count >= j, once
-    sturm_count(a) = j-1 and sturm_count(b) = j, so probes made for earlier
-    eigenvalues bound it too.  Bisection narrows the bracket until b - a is
-    within 1e-3 of max(|a|, |b|, floor), Rayleigh steps start from its
-    midpoint, unguided, and the pair is accepted if rho lies inside [a, b].
-
-    On both paths a Rayleigh step is the last once it moves the quotient by
-    at most eps * max(|lo|, |hi|), or after RAYLEIGH_STEPS; the pair is
-    that step's vector and quotient.  Either acceptance rule also makes the
-    eigenvalues ascend with none skipped; a pair that fails the second
-    raises ConvergenceError.
+    Otherwise (no usable prediction, or pairs that fail) bisection supplies
+    the starting shifts, as in MRRR (Dhillon, Parlett & Voemel, ACM TOMS
+    32, 2006).  Every Sturm probe made on the matrix, the Gershgorin ends
+    and top included, goes into one table of (shift, count).  The j-th
+    eigenvalue is isolated by the bracket [a_j, b_j] of the largest shift
+    with count <= j-1 and the smallest with count >= j, once those counts
+    are j-1 and j, so probes made for one eigenvalue bound the next.  Tier
+    1 bisects each bracket only until it is isolated, tier 2 on until b - a
+    is within 1e-3 of max(|a|, |b|, floor).  Each tier refines from the
+    brackets' midpoints, unguided, and returns the pairs if they pass the
+    certificate at top = b_k; if tier 2's fail too, ConvergenceError.
     """
     n = ham.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
     lo, hi = _gershgorin_bounds(ham)
-    floor = 1e-9 * (hi - lo)  # keeps an eigenvalue near 0 from bisecting to underflow
     rounding = np.finfo(float).eps * max(abs(lo), abs(hi))  # a Rayleigh step this small ends refinement
     probes = [(lo, 0), (hi, n)]
 
@@ -362,35 +364,31 @@ def lowest_eigenvalues(
         if count == k:
             windows = [_window(g, n) for g in guides[:k]]
             pairs = [refine(pj, window) for pj, window in zip(p, windows + [None] * k)]
-            slack = 4.0 * rounding  # rho_j -+ (res_j + slack) ascend disjoint, below top
-            ends = [end for _, rho, res, _ in pairs for end in (rho - res - slack, rho + res + slack)]
-            if all(settled for *_, settled in pairs) and all(map(float.__lt__, ends, [*ends[1:], top])):
-                return SpectrumResult(
-                    eigenvalues=np.array([rho for _, rho, _, _ in pairs]),
-                    eigenvectors=np.array([_signed(v) for v, *_ in pairs]),
-                )
+            if result := _certified(pairs, top, rounding):
+                return result
 
     def bracket(j):
         a, count_a = max(probe for probe in probes if probe[1] <= j - 1)
         b, count_b = min(probe for probe in probes if probe[1] >= j)
         return a, b, count_a == j - 1 and count_b == j
 
-    values = []
-    vectors = []
-    for j in range(1, k + 1):
+    floor = 1e-9 * (hi - lo)  # keeps an eigenvalue near 0 from bisecting to underflow
+
+    def isolate(j, narrow):
         a, b, isolated = bracket(j)
-        while not (isolated and b - a <= 1e-3 * max(abs(a), abs(b), floor)):
+        while not (isolated and (not narrow or b - a <= 1e-3 * max(abs(a), abs(b), floor))):
             shift = 0.5 * (a + b)
             if not a < shift < b:
                 raise ConvergenceError(f"bisection could not isolate eigenvalue #{j} in [{a}, {b}]")
             probes.append((shift, sturm_count(ham, shift)))
             a, b, isolated = bracket(j)
-        v, rho, _, _ = refine(0.5 * (a + b))
-        if not a <= rho <= b:
-            raise ConvergenceError(f"Rayleigh refinement of eigenvalue #{j} left its isolating bracket")
-        values.append(rho)
-        vectors.append(_signed(v))
-    return SpectrumResult(eigenvalues=np.array(values), eigenvectors=np.array(vectors))
+        return a, b
+
+    for narrow in (False, True):
+        brackets = [isolate(j, narrow) for j in range(1, k + 1)]
+        if result := _certified([refine(0.5 * (a + b)) for a, b in brackets], brackets[-1][1], rounding):
+            return result
+    raise ConvergenceError("Rayleigh refinement from the isolating brackets failed the residual certificate")
 
 
 def node_count(v: np.ndarray) -> int:
@@ -499,10 +497,10 @@ def _error_table(params: PotentialParams, m: int, exact: tuple, n_list):
     only up to where they fall below NODE_REL_FLOOR (74% and 85% of the
     64000-point grid of verify(1, 0, 64000), ground and excited).
     Predictions that keep the eigenvalues apart cost one Sturm pass per
-    grid, at a separator above the last of them; where the pairs started
-    from them fail their test, each eigenvalue is bisected.  The first grid
-    solved, the smallest rung (16 to 63 points when there is one), has no
-    prediction and is bisected from Gershgorin.  The finest operator is
+    grid; where the pairs started from them fail the certificate of
+    lowest_eigenvalues, the grid is bisected.  The first grid solved, the
+    smallest rung (16 to 63 points when there is one), has no prediction
+    and is bisected from Gershgorin.  The finest operator is
     assembled before any grid is solved, so one too large to allocate
     raises MemoryError at once."""
     scouts = []
@@ -575,14 +573,10 @@ def verify(a: float, m: int, n: int = 4000) -> VerificationReport:
     both), and fits the h^2 error model across {n/4, n/2, n}; n >= 64
     keeps the coarsest of those grids at its 16-point minimum or above.
     A ladder of scout grids of n/16, n/64, n/256, ... points, each down to
-    that minimum, is solved first, smallest first.  The first grid solved
-    has no prediction and is bisected from Gershgorin; every later grid, n/4
-    included once a scout precedes it, is predicted from the polynomial in
-    h^2 through up to three grids before it (see _error_table) and its
-    pairs certified by one Sturm count above the last prediction.  The
-    report fails if any |E_hat - E| exceeds 10x the fitted model
-    prediction, the node counts differ from (0, 1), or the overlap exceeds
-    1e-8.
+    that minimum, is solved first, smallest first, as _error_table tells;
+    every pair is certified as lowest_eigenvalues tells.  The report fails
+    if any |E_hat - E| exceeds 10x the fitted model prediction, the node
+    counts differ from (0, 1), or the overlap exceeds 1e-8.
     """
     if n < 64:
         raise ValueError(f"verify needs n >= 64 grid points (its coarsest grid has n // 4), got {n}")

@@ -376,6 +376,35 @@ class TestEigensolver:
         for v, u in zip(result.eigenvectors, ref_vecs.T):
             assert 1.0 - abs(v @ u) <= 1e-12
 
+    def test_failed_isolation_tier_is_bisected_on(self, monkeypatch):
+        # the 62-point first rung of verify(1, 0, 4000) is certified from
+        # its isolating brackets; here its first refinement reports a
+        # residual of 1e3, so its interval covers both eigenvalues and the
+        # certificate fails.  The brackets are then bisected to 1e-3
+        # relative and refined afresh, unpatched
+        ham = sec3_hamiltonian(62)
+        real_count, real_twisted = numeric.sturm_count, numeric._twisted_rayleigh
+        passes = []
+        monkeypatch.setattr(numeric, "sturm_count", lambda h, x: passes.append(x) or real_count(h, x))
+        lowest_eigenvalues(ham, 2)
+        isolating = len(passes)
+        passes.clear()
+        last = []  # the quotient of the previous step of the first refinement
+
+        def inflated(h, sigma, window=None):
+            v, rho, res = real_twisted(h, sigma, window)
+            if last == [] or last == [sigma]:  # still the first refinement
+                last[:] = [rho]
+                return v, rho, 1e3
+            last[:] = [None]
+            return v, rho, res
+
+        monkeypatch.setattr(numeric, "_twisted_rayleigh", inflated)
+        result = lowest_eigenvalues(ham, 2)
+        assert len(passes) > isolating
+        assert np.all(np.abs(result.eigenvalues - library_pair(ham)) <= 2.0 * rounding_floor(ham))
+        assert [node_count(v) for v in result.eigenvectors] == [0, 1]
+
     def test_degenerate_stencil_fails_the_certificate(self):
         # cut at T = 1e6 instead of 45, 16 points have h = 83 and a^(1/4) h >> 1:
         # the excited vector has no interior peak, and no wrong pair is returned
@@ -604,8 +633,10 @@ class TestVerify:
             verify(1.0, 3, 1000)
 
     def test_predicted_brackets_save_sturm_passes(self, monkeypatch):
-        # the 62-point rung takes the bisection, so each later grid costs
-        # one count at its top separator; one separator pass per eigenvalue
+        # the 62-point rung takes the bisection, only until each eigenvalue
+        # is isolated (9 passes; bisecting on to 1e-3 relative took 33 and
+        # 9296 points of Sturm work in all), so each later grid costs one
+        # count at its top separator; one separator pass per eigenvalue
         # took 2, bisecting the 1000-point grid took 39 passes and 63000
         # points of Sturm work in all, bisecting a 125-point first scout
         # took 36 passes and 19000 points in all
@@ -613,8 +644,9 @@ class TestVerify:
         real = numeric.sturm_count
         monkeypatch.setattr(numeric, "sturm_count", lambda h, x: sizes.append(h.n) or real(h, x))
         assert verify(1.0, 0, 4000).passed
+        assert sizes.count(62) <= 12
         assert all(sizes.count(n) <= 1 for n in (250, 1000, 2000, 4000))
-        assert sum(sizes) <= 20000
+        assert sum(sizes) <= 8000
 
     def test_fine_verify_sweeps_few_elements(self, monkeypatch):
         # counts stop at the outer turning point, only the 62-point rung
