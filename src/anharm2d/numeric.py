@@ -135,25 +135,25 @@ def assemble(params: PotentialParams, m: int, grid: RadialGrid) -> DiscreteHamil
 # Sturm-count isolation + twisted-factorization Rayleigh refinement
 # ---------------------------------------------------------------------------
 
-def _pivots(d: list, e2: float, lam: float, pivmin: float) -> tuple[int, np.ndarray]:
-    """Pivots q_i = d_i - lam - e2 / q_(i-1), q_0 = inf, of T - lam I = L D L^T,
-    and how many are negative: the Sturm count of lam.  A pivot smaller than
+def _pivots(d: list, e2: float, lam: float, pivmin: float) -> np.ndarray:
+    """Pivots q_i = d_i - lam - e2 / q_(i-1), q_0 = inf, of T - lam I = L D L^T;
+    how many are negative is the Sturm count of lam.  A pivot smaller than
     pivmin in magnitude is replaced by -pivmin, so it counts either way.
 
     The sweep runs unguarded over Python floats straight into the array
     (np.fromiter, no intermediate list), several times faster than indexing
-    numpy arrays element by element.  Only when it divides by an exact
-    zero, or leaves a pivot that is not >= pivmin in magnitude, is it redone
-    with the guard on every element; otherwise the guard would not have
-    fired, so the pivots are the same bit for bit.  lam is made a
-    Python float so that a zero pivot raises instead of giving inf."""
+    numpy arrays element by element.  Only when it divides by an exact zero,
+    or min|q_i| is not >= pivmin (NaN included), is it redone with the guard
+    on every element; otherwise the guard would not have fired, so the
+    pivots are the same bit for bit.  lam is made a Python float so that a
+    zero pivot raises instead of giving inf."""
     lam = float(lam)
     q = math.inf
     try:
         pivots = np.fromiter((q := di - lam - e2 / q for di in d), float, len(d))
     except ZeroDivisionError:
         pivots = None
-    if pivots is None or not np.all(np.abs(pivots) >= pivmin):
+    if pivots is None or not abs(pivots).min() >= pivmin:
         guarded = []
         q = math.inf
         for di in d:
@@ -162,12 +162,12 @@ def _pivots(d: list, e2: float, lam: float, pivmin: float) -> tuple[int, np.ndar
                 q = -pivmin
             guarded.append(q)
         pivots = np.array(guarded)
-    return int(np.count_nonzero(pivots < 0.0)), pivots
+    return pivots
 
 
 def sturm_count(ham: DiscreteHamiltonian, lam: float) -> int:
     """Number of eigenvalues strictly below lam (Sturm sequence count): the
-    negative pivots of the forward sweep of _pivots.
+    negative pivots of the forward sweep of _pivots, counted here.
 
     The sweep stops at the outer turning point i*, the first index with
     d_i - lam >= 2|e| for every i >= i*.  If the pivot before it is >= |e|,
@@ -175,19 +175,18 @@ def sturm_count(ham: DiscreteHamiltonian, lam: float) -> int:
     and the count is exact; otherwise the whole grid is swept."""
     d, e2, pivmin = ham._recurrence
     e = abs(ham.offdiag)
-    cut = int(np.searchsorted(ham._tail_min, lam + 2.0 * e))
-    if 0 < cut < ham.n:
-        count, pivots = _pivots(d[:cut], e2, lam, pivmin)
-        if pivots[-1] >= e:
-            return count
-    return _pivots(d, e2, lam, pivmin)[0]
+    cut = int(ham._tail_min.searchsorted(lam + 2.0 * e))
+    pivots = _pivots(d[:cut], e2, lam, pivmin) if 0 < cut < ham.n else None
+    if pivots is None or not pivots[-1] >= e:
+        pivots = _pivots(d, e2, lam, pivmin)
+    return int(np.count_nonzero(pivots < 0.0))
 
 
 def _gershgorin_bounds(ham: DiscreteHamiltonian):
-    d = ham.diag
-    radius = np.full_like(d, 2.0 * abs(ham.offdiag))
-    radius[[0, -1]] = abs(ham.offdiag)
-    return float(np.min(d - radius)), float(np.max(d + radius))
+    # rounding is monotone, so min(d_i - 2|e|) is min(d_i) - 2|e| exactly
+    d, e, inner = ham.diag, abs(ham.offdiag), ham.diag[1:-1]
+    return (float(min(inner.min(initial=math.inf) - 2.0 * e, d[0] - e, d[-1] - e)),
+            float(max(inner.max(initial=-math.inf) + 2.0 * e, d[0] + e, d[-1] + e)))
 
 
 def _twisted_rayleigh(ham: DiscreteHamiltonian, sigma: float, window=None):
@@ -218,29 +217,34 @@ def _twisted_rayleigh(ham: DiscreteHamiltonian, sigma: float, window=None):
     index and by < 5e-5 relative, which moves the quotient only at rounding
     level.  On a stencil too coarse for the vector to peak inside the grid
     the pairs fail the certificate, and lowest_eigenvalues raises
-    ConvergenceError.
-    Returns the unit vector, its Rayleigh quotient and its residual.
+    ConvergenceError.  Returns the unit vector, built, scaled and signed in
+    place (its first nonzero entry, at or before r, made positive; division
+    and negation are exact), its Rayleigh quotient and its residual.
     """
     d, e2, pivmin = ham._recurrence
     e = abs(ham.offdiag)
     lo, hi, stop = window or (0, None, ham.n)
-    bwd = _pivots(d[lo:stop][::-1], e2, sigma, pivmin)[1][::-1]  # D-_i at bwd[i - lo]
+    # one reversed slice, d[stop-1] down to d[lo]; bwd is a view, D-_i at bwd[i - lo]
+    bwd = _pivots(d[stop - 1:lo - 1 if lo else None:-1], e2, sigma, pivmin)[::-1]
     if window is None:
-        grows = np.flatnonzero(np.abs(bwd) < e)
+        grows = (abs(bwd) < e).nonzero()[0]
         hi = int(grows[-1]) if grows.size else 0
-    fwd = _pivots(d[:hi + 1], e2, sigma, pivmin)[1]
+    fwd = _pivots(d[:hi + 1], e2, sigma, pivmin)
     gamma = fwd[lo:] + bwd[:hi + 1 - lo] - (ham.diag[lo:hi + 1] - sigma)
-    r = lo + int(np.argmin(np.abs(gamma)))
+    r = lo + int(abs(gamma).argmin())
     z = np.zeros(ham.n)
     z[r] = 1.0
-    z[:r] = np.cumprod((-ham.offdiag / fwd[:r])[::-1])[::-1]
-    z[r + 1:stop] = np.cumprod(-ham.offdiag / bwd[r + 1 - lo:])
+    (-ham.offdiag / fwd[:r][::-1]).cumprod(out=z[:r][::-1])
+    (-ham.offdiag / bwd[r + 1 - lo:]).cumprod(out=z[r + 1:stop])
     norm2 = float(z @ z)
     norm = math.sqrt(norm2)
     gamma_r = float(gamma[r - lo])
     edge = e * z[stop - 1] if stop < ham.n else 0.0  # (T - sigma I) z at stop
     res = math.hypot(gamma_r * math.sqrt(1.0 - 1.0 / norm2), edge) / norm
-    return z / norm, sigma + gamma_r / norm2, res
+    z /= norm
+    if z[(abs(z[:r + 1]) > 0.0).argmax()] < 0.0:
+        np.negative(z, out=z)
+    return z, sigma + gamma_r / norm2, res
 
 
 def _window(guide: np.ndarray, n: int) -> tuple[int, int, int]:
@@ -254,8 +258,8 @@ def _window(guide: np.ndarray, n: int) -> tuple[int, int, int]:
     stop the eigenvector is below the floor node_count ignores."""
     size = len(guide)
     mags = np.abs(guide)
-    peak = int(np.argmax(mags))
-    last = int(np.flatnonzero(mags >= NODE_REL_FLOOR * mags[peak])[-1])
+    peak = int(mags.argmax())
+    last = int((mags >= NODE_REL_FLOOR * mags[peak]).nonzero()[0][-1])
     margin = -(-n // size) + 2
 
     def at(i):
@@ -277,11 +281,6 @@ class SpectrumResult:
     eigenvectors: np.ndarray  # shape (k, n)
 
 
-def _signed(v: np.ndarray) -> np.ndarray:
-    """v with its first nonzero entry positive."""
-    return -v if v[np.flatnonzero(np.abs(v) > 0.0)[0]] < 0.0 else v
-
-
 def _certified(pairs, top: float, rounding: float):
     """The SpectrumResult of pairs, each (v, rho, res, settled), if they
     pass the certificate of lowest_eigenvalues at top; None otherwise."""
@@ -291,7 +290,7 @@ def _certified(pairs, top: float, rounding: float):
         return None
     return SpectrumResult(
         eigenvalues=np.array([rho for _, rho, _, _ in pairs]),
-        eigenvectors=np.array([_signed(v) for v, *_ in pairs]),
+        eigenvectors=np.array([v for v, *_ in pairs]),
     )
 
 
@@ -394,11 +393,12 @@ def lowest_eigenvalues(
 def node_count(v: np.ndarray) -> int:
     """Strict sign changes in v, ignoring entries below NODE_REL_FLOOR * max|v|."""
     v = np.asarray(v, dtype=float)
-    peak = float(np.max(np.abs(v)))
+    mags = np.abs(v)
+    peak = float(mags.max())
     if peak == 0.0:
         raise ValueError("node_count needs a nonzero vector")
-    kept = v[np.abs(v) > NODE_REL_FLOOR * peak]
-    return int(np.sum(np.sign(kept[:-1]) * np.sign(kept[1:]) < 0.0))
+    negative = np.signbit(v[mags > NODE_REL_FLOOR * peak])  # kept entries are nonzero
+    return int(np.count_nonzero(negative[:-1] != negative[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +407,7 @@ def node_count(v: np.ndarray) -> int:
 
 def _simpson(y: np.ndarray, h: float) -> float:
     """Composite Simpson sum of the samples y, spaced h apart."""
-    return h / 3.0 * float(y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2]))
+    return h / 3.0 * float(y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
 
 
 def quadrature(f, grid: RadialGrid, abs_tol: float = 0.0) -> float:
