@@ -1,25 +1,22 @@
 #!/usr/bin/env python3
-"""Put the benchmark on the record: run perfbench/run.py over every workload,
-untraced (end-to-end metrics) and traced (per-layer metrics), and write
-BENCH_<label>.json.
+"""Put a before/after comparison of the benchmark on the record: run
+perfbench/run.py over every workload on this checkout and on revision REV,
+in alternating pairs, and write BENCH_<label>.json.
 
-Usage: python scripts/bench.py [--label local] [--seconds 30]
-                               [--out-dir <repository root>]
-                               [--parent REV [--pairs 10]]
+Usage: python scripts/bench.py [--parent HEAD] [--pairs 10] [--seconds 30]
+                               [--label local] [--out-dir <repository root>]
 
-The file holds, per workload and per run: perfbench's result (correct,
+REV is unpacked with git archive into a temporary directory; its perfbench/
+must be the same as this checkout's. For each workload, --pairs pairs of
+untraced runs (end-to-end metrics) alternate which tree goes first, each
+pair on its own seed, and one traced run per tree (per-layer metrics)
+follows. Per end-to-end metric the record holds each tree's per-pair
+values, median and quartiles, and how many pairs the checkout won (ties
+count for neither side). Per run it holds perfbench's result (correct,
 attempted, failed, metrics), the exit status of run.py and its stderr
 summary up to the machine-speed line, which carries the raw wall-time
 medians and the machine speed. It also records the git commit (and whether
 the tree differed from it) and the Python, numpy and platform versions.
-
-With --parent REV the record compares this checkout with revision REV,
-unpacked with git archive into a temporary directory; REV's perfbench/
-must be the same as this checkout's. For each workload, --pairs pairs of
-untraced runs alternate which tree goes first, each pair on its own seed,
-and one traced run per tree follows. Per end-to-end metric the record
-holds each tree's per-pair values, median and quartiles, and how many pairs
-the checkout won (ties count for neither side).
 
 The script exits 1, after writing the record, if any run of run.py failed.
 """
@@ -40,8 +37,7 @@ from same_outputs import unpack
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sweep", "fine", "curves")
-SEED = 1  # one fixed command order, so that records compare like with like
-PAIR_SEED = 1000  # pair i runs on seed PAIR_SEED + i, none of them SEED
+PAIR_SEED = 1000  # pair i runs on seed PAIR_SEED + i
 
 
 def git(*args: str):
@@ -122,8 +118,8 @@ def main(argv=None) -> int:
     parser.add_argument("--label", default="local", help="the file is BENCH_<label>.json")
     parser.add_argument("--seconds", type=float, default=30.0, help="length of each run")
     parser.add_argument("--out-dir", type=Path, default=ROOT)
-    parser.add_argument("--parent", metavar="REV", help="compare with this revision, in pairs")
-    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload with --parent")
+    parser.add_argument("--parent", metavar="REV", default="HEAD", help="the revision to compare with")
+    parser.add_argument("--pairs", type=int, default=10, help="pairs of runs per workload")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -138,43 +134,30 @@ def main(argv=None) -> int:
         "platform": platform.platform(),
         "cpus": os.cpu_count(),
         "seconds": args.seconds,
+        "parent": {"rev": args.parent, "commit": git("rev-parse", args.parent)},
+        "pairs": args.pairs,
         "workloads": {},
     }
-    if args.parent is None:
-        record["seed"] = SEED
+    better = {m["name"]: m["better"]
+              for m in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = Path(tmp)
+        unpack(args.parent, parent)
+        if perfbench_files(parent) != perfbench_files(ROOT):
+            raise SystemExit(f"error: perfbench/ at {args.parent} differs from this checkout's; "
+                             "both sides must run the same benchmark")
         for workload in WORKLOADS:
-            runs = {name: run(ROOT, workload, SEED, args.seconds, trace)
-                    for name, trace in (("untraced", 0), ("traced", 1))}
-            record["workloads"][workload] = runs
-            for name, result in runs.items():
-                print(f"{workload:7} {name:9} exit {result['exit']} attempted "
-                      f"{result.get('attempted', 0):4d} failed {result.get('failed', 0):4d}",
-                      file=sys.stderr)
-        results = [result for runs in record["workloads"].values() for result in runs.values()]
-    else:
-        better = {m["name"]: m["better"]
-                  for m in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
-        record["parent"] = {"rev": args.parent, "commit": git("rev-parse", args.parent)}
-        record["pairs"] = args.pairs
-        with tempfile.TemporaryDirectory() as tmp:
-            parent = Path(tmp)
-            unpack(args.parent, parent)
-            if perfbench_files(parent) != perfbench_files(ROOT):
-                raise SystemExit(f"error: perfbench/ at {args.parent} differs from this checkout's; "
-                                 "both sides must run the same benchmark")
-            for workload in WORKLOADS:
-                record["workloads"][workload] = entry = paired(
-                    parent, workload, args.pairs, args.seconds, better)
-                for name, m in entry["metrics"].items():
-                    if m["pairs"]:
-                        print(f"{workload:7} {name:12} parent {m['parent']['median']:.6g} "
-                              f"({m['parent']['quartiles'][0]:.6g}-{m['parent']['quartiles'][1]:.6g}) "
-                              f"change {m['change']['median']:.6g} "
-                              f"({m['change']['quartiles'][0]:.6g}-{m['change']['quartiles'][1]:.6g}) "
-                              f"better in {m['pairs_better']}/{m['pairs']} pairs", file=sys.stderr)
-        results = [result for entry in record["workloads"].values()
-                   for result in [*entry["runs"]["parent"], *entry["runs"]["change"],
-                                  *entry["traced"].values()]]
+            record["workloads"][workload] = entry = paired(
+                parent, workload, args.pairs, args.seconds, better)
+            for name, m in entry["metrics"].items():
+                if m["pairs"]:
+                    print(f"{workload:7} {name:12} parent {m['parent']['median']:.6g} "
+                          f"({m['parent']['quartiles'][0]:.6g}-{m['parent']['quartiles'][1]:.6g}) "
+                          f"change {m['change']['median']:.6g} "
+                          f"({m['change']['quartiles'][0]:.6g}-{m['change']['quartiles'][1]:.6g}) "
+                          f"better in {m['pairs_better']}/{m['pairs']} pairs", file=sys.stderr)
+    results = [result for entry in record["workloads"].values()
+               for result in [*entry["runs"]["parent"], *entry["runs"]["change"], *entry["traced"].values()]]
     args.out_dir.mkdir(parents=True, exist_ok=True)
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")

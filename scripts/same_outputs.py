@@ -5,12 +5,15 @@ Usage: python scripts/same_outputs.py REV
 
 REV (a commit, branch or tag) is unpacked with git archive into a temporary
 directory. One fresh interpreter per tree imports anharm2d from that tree's
-src/ and runs a fixed set of CLI commands in process: solve, eval
---normalize, normalize and verify over a spread of a (0.25 to 10, and
-1e-300 to 1e300), m in {0, 1} and verify grids from 64 to 16000 points,
-plus verify at 64000 points for (a, m) = (1, 0) and (10, 1). Each
-command's exit code and stdout and stderr text are compared; every
-difference is listed, and the script exits 1 if there is any, 0 otherwise.
+src/ and runs a fixed set of CLI commands in process: solve, eval with and
+without --normalize, normalize and verify over a spread of a (0.25 to 10,
+and 1e-300 to 1e300), m in {0, 1} and verify grids from 64 to 16000 points,
+plus verify at 64000 points for (a, m) = (1, 0) and (10, 1) and at 63. Then eval and
+normalize on the paths that sweep misses (few --samples, an explicit
+--r-min/--r-max, explicit --c/--b on both kappa branches) and the inputs
+that scripts/check_console.sh checks. Each command's exit code and stdout
+and stderr text are compared; every difference is listed, and the script
+exits 1 if there is any, 0 otherwise.
 """
 
 import argparse
@@ -25,6 +28,28 @@ ROOT = Path(__file__).resolve().parent.parent
 A_VALUES = ("0.25", "1", "4", "10", "1e-6", "1e6", "1e-200", "1e200", "1e-300", "1e300")
 VERIFY_N = (64, 65, 257, 1000, 4000, 16000)
 FINE = (("1", 0), ("10", 1))
+# explicit --c/--b: (a, m) = (1, 0) on the plus and the minus kappa branch,
+# (1, 1) on the plus branch, and the joint states of a = 1e12 and a = 1
+EXPLICIT = (
+    ("--state", "ground", "--a", "1", "--c", "1", "--b", "0.8284271247461903"),
+    ("--state", "ground", "--a", "1", "--c", "1", "--b", "-4.82842712474619"),
+    ("--state", "ground", "--a", "1", "--m", "1", "--c", "1", "--b", "1.4641016151377544"),
+    ("--state", "ground", "--a", "1e12", "--c", "4e-12", "--b", "-1.2e-05"),
+    ("--state", "excited", "--a", "1", "--c", "4", "--b=-12"),
+)
+# the commands of scripts/check_console.sh that exit 0 without verify, or
+# exit 2, 3 or 4
+CONSOLE = (
+    ("normalize", "--state", "ground", "--a", "1e-46", "--c", "1e14", "--b", "-20000000.28284271"),
+    ("eval", "--state", "ground", "--a", "1", "--c", "1e-26", "--b", "0", "--samples", "3"),
+    ("normalize", "--state", "ground", "--a", "1e6", "--c", "1e-6", "--m", "300", "--b", "0.59800666662963"),
+    ("normalize", "--state", "ground", "--a", "2.6034814692355e+243", "--m", "2",
+     "--c", "4.657280431813428e-242", "--b=-2.6333929441323264e-120"),
+    ("eval", "--a", "1", "--samples", "1000000000000000"),
+    ("normalize", "--state", "excited", "--a", "1", "--c", "2.25", "--b", "-9", "--m", "-1"),
+    ("solve", "--a", "1", "--m", "1" + "0" * 160),
+    ("verify", "--a", "1", "--m", "0", "--grid-n", "10000000000000000"),
+)
 
 # Run in the tree's own interpreter: every command through anharm2d.cli.main,
 # its streams captured; a command that raises is recorded, not fatal.
@@ -56,10 +81,20 @@ def commands() -> list:
             argvs.append(["solve", *common])
             for state in ("ground", "excited"):
                 argvs.append(["eval", *common, "--state", state, "--samples", "500", "--normalize"])
+                argvs.append(["eval", *common, "--state", state, "--samples", "500"])
                 argvs.append(["normalize", *common, "--state", state])
             argvs += [["verify", *common, "--grid-n", str(n)] for n in VERIFY_N]
     argvs += [["verify", "--a", a, "--m", str(m), "--grid-n", "64000"] for a, m in FINE]
-    return argvs
+    argvs.append(["verify", "--a", "1", "--grid-n", "63"])  # one point below verify's minimum
+    for samples in ("1", "3", "5", "15", "16"):
+        argvs += [["eval", "--a", "1", "--samples", samples, *norm] for norm in ((), ("--normalize",))]
+    for r_min, r_max in (("0.5", "3"), ("3", "0.5")):
+        argvs += [["eval", "--a", "10", "--m", "1", "--state", "excited", "--samples", "50",
+                   "--r-min", r_min, "--r-max", r_max, *norm] for norm in ((), ("--normalize",))]
+    for explicit in EXPLICIT:
+        argvs += [["eval", *explicit, "--samples", "50"], ["eval", *explicit, "--samples", "50", "--normalize"],
+                  ["normalize", *explicit]]
+    return argvs + [list(argv) for argv in CONSOLE]
 
 
 def unpack(rev: str, dest: Path) -> None:

@@ -25,6 +25,7 @@ from anharm2d.closed_form import (
     radial_eval,
 )
 from anharm2d.numeric import (
+    MIN_GRID_POINTS,
     ConvergenceError,
     build_grid,
     normalization_constant,
@@ -85,7 +86,7 @@ def cmd_solve(args) -> int:
 
 def cmd_eval(args) -> int:
     state, params = _resolve_state(args)
-    grid = build_grid(params, max(args.samples, 16))
+    grid = build_grid(params, MIN_GRID_POINTS)  # only its interval is used
     r_min = grid.r_min if args.r_min is None else args.r_min
     r_max = grid.r_max if args.r_max is None else args.r_max
     if not (math.isfinite(r_min) and math.isfinite(r_max)):

@@ -5,26 +5,12 @@ part exp(+-i m phi) and pulling out r^(-1/2) is
 
     -R'' + [V(r) + (m^2 - 1/4)/r^2] R = E R.
 
-Exact solutions exist only on a constrained parameter surface.  The ground
-state is R0 = r^kappa exp[-(sqrt(a) r^2 + sqrt(c) r^-2)/2] with
-kappa = 1/2 +- sqrt(m^2 + 2 sqrt(ac)), valid when
-
-    b = sqrt(c) (2 kappa - 3) = -2 sqrt(c) +- 2 sqrt(c) sqrt(m^2 + 2 sqrt(ac)),
-
-and the first excited state (same m) adds the prefactor
-sqrt(a) r^2 - sqrt(c) r^-2 with its own exponent kappa1 = (b + 7 sqrt(c)) /
-(2 sqrt(c)), valid when b = -6 sqrt(c).  Both states coexist only when
-m^2 + 2 sqrt(ac) = 4, which pins c = ((4 - m^2)/2)^2 / a and forces m in
-{0, 1}; see excited_solve, which builds that joint pair through the same
-gate, constrained_state, as any other (a, b, c, m).
-
-Both states share one form (ClosedFormState), so one evaluator, radial_eval,
-and one node-safe eigen_residual serve both levels.  constrained_state is the
-solvability gate for any (a, b, c, m) and the only constructor of a state:
-the state, with the only kappa and E formulas, or ConstraintViolation if b
-is not the b its level needs to CONSTRAINT_REL_TOL, relative, with no floor.
-
-All functions here are pure and accept scalars or numpy arrays for r.
+Exact states exist only on a constrained parameter surface: the ground
+state's b is ground_constraint_b, constrained_state is the only constructor
+of a state (ClosedFormState, the one form of both levels) for any
+(a, b, c, m), and excited_solve gives the joint configuration where both
+levels are exact.  radial_eval and eigen_residual serve both levels.  All
+functions here are pure and accept scalars or numpy arrays for r.
 """
 
 from __future__ import annotations
@@ -106,9 +92,8 @@ class ClosedFormState:
                * r^kappa * exp[(alpha r^2 + beta r^-2)/2],
 
     with alpha = -sqrt(a) and beta = -sqrt(c) (both strictly negative so the
-    state decays at infinity and at the origin).  Ground states have
-    poly_c2 = poly_cm2 = 0; excited states have poly_c0 = 0.  The overall
-    scale of the polynomial prefactor is free (unnormalized by default).
+    state decays at infinity and at the origin).  The overall scale of the
+    polynomial prefactor is free (unnormalized by default).
     """
 
     kappa: float
@@ -141,10 +126,6 @@ def _like(r, out):
     return float(out[0]) if r.ndim == 0 else out
 
 
-# ---------------------------------------------------------------------------
-# Ground state
-# ---------------------------------------------------------------------------
-
 def ground_constraint_b(a: float, c: float, m: int, branch: SignBranch) -> float:
     """The b that makes the ground ansatz exact for the given kappa branch.
 
@@ -175,10 +156,6 @@ def ground_peak_radius(state: ClosedFormState) -> float:
     r_sq = 2.0 * sqrt_c / (root - kappa) if kappa < 0.0 else (kappa + root) / (2.0 * sqrt_a)
     return math.sqrt(r_sq)
 
-
-# ---------------------------------------------------------------------------
-# Evaluation and eigen-residual, both levels
-# ---------------------------------------------------------------------------
 
 def radial_eval(state: ClosedFormState, r):
     """Unnormalized radial wavefunction of either level at r > 0.
@@ -222,10 +199,6 @@ def eigen_residual(state: ClosedFormState, params: PotentialParams, m: int, r):
     return _like(rr, f * bracket + f2 + 2.0 * p1 * f1)
 
 
-# ---------------------------------------------------------------------------
-# Solvability gate
-# ---------------------------------------------------------------------------
-
 def constrained_state(params: PotentialParams, m: int, level: Level) -> ClosedFormState:
     """The closed-form state of `level` for explicit parameters: the only
     constructor of a state, with the only kappa and E formulas.
@@ -263,10 +236,6 @@ def constrained_state(params: PotentialParams, m: int, level: Level) -> ClosedFo
                            energy=(2.0 * kappa1 + 5.0) * sqrt_a, level=Level.EXCITED)
 
 
-# ---------------------------------------------------------------------------
-# Joint ground + excited configuration
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class JointSolution:
     """Parameter set for which both closed-form states are simultaneously exact.
@@ -290,9 +259,8 @@ def excited_solve(a: float, m: int) -> JointSolution:
         kappa = -3/2 (Minus branch), kappa1 = 1/2,
         E0 = -2 sqrt(a),             E1 = 6 sqrt(a).
 
-    Only m in {0, 1} is solvable; m >= 2 would need sqrt(ac) <= 0.  Both
-    states come from constrained_state, so the pair passes the same gate
-    as an explicit (a, b, c, m).
+    Only m in {0, 1} is solvable.  Both states come from constrained_state,
+    so the pair passes the same gate as an explicit (a, b, c, m).
     """
     if not math.isfinite(a):
         raise ValueError(f"a must be finite, got {a}")

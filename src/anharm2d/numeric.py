@@ -1,28 +1,13 @@
-"""Independent numerical verification of the closed-form bound states.
+"""Independent numerical check of the closed-form bound states.
 
-Discretizes the radial operator -d^2/dr^2 + V(r) + (m^2 - 1/4)/r^2 with
-second-order central differences on a truncated uniform grid, extracts the
-low spectrum from scratch (no library eigensolver) and provides Simpson
-quadrature for normalization, overlaps and convergence diagnostics.  The
-quadrature calls its integrand once for every level up to QUAD_SAMPLED
-intervals, and past that once per doubling.  Eigenpairs come from
-Rayleigh-quotient steps on twisted-factorization eigenvectors, and every
-pair returned passes one residual certificate, given with
-lowest_eigenvalues.  The steps start from eigenvalues predicted from
-coarser grids (never from the closed form), by the polynomial in h^2
-through the last three grids solved, with one Sturm count above the last
-prediction; each is guided by the previous grid's eigenvector (_window).
-Without a prediction, or when its pairs fail, bisection by Sturm counts
-supplies the starts: first only until each eigenvalue is isolated.  Each
-count stops at the shift's outer turning point, past which no pivot can
-turn negative.  A ladder of scout grids, each 4x smaller than the next,
-supplies the first predictions and guides, so bisection from the
-Gershgorin bounds runs only on its smallest rung, of at most 63 points.
-
-The half-line domain is truncated where both exponential tails of the exact
-states fall below exp(-T) of their peak scale, with T = TAIL_THRESHOLD = 45
-fixed, so Dirichlet endpoints introduce error far below the h^2
-discretization error.
+assemble discretizes -d^2/dr^2 + V(r) + (m^2 - 1/4)/r^2 by central
+differences on the grid of build_grid, and the low spectrum is extracted
+from scratch, with no library eigensolver.  Each mechanism is told once,
+where it is done: lowest_eigenvalues (the residual certificate, the
+predicted path, the bisection tiers), _twisted_rayleigh (the Rayleigh step,
+its window and its residual), sturm_count (the turning-point cut),
+_error_table (the ladder of grids, the predictions, the guides), quadrature
+(the 1025-point sampling) and verify (the report and when it fails).
 """
 
 from __future__ import annotations
@@ -57,10 +42,8 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform interior grid on [r_min, r_max] with Dirichlet zero endpoints.
-
-    Interior points are r_i = r_min + i*h, i = 1..n, h = (r_max - r_min)/(n+1).
-    """
+    """Uniform grid r_i = r_min + i*h, i = 1..n, h = (r_max - r_min)/(n+1),
+    with Dirichlet zero endpoints r_min and r_max."""
 
     r_min: float
     r_max: float
@@ -81,7 +64,8 @@ class RadialGrid:
 
 
 def build_grid(params: PotentialParams, n: int) -> RadialGrid:
-    """Grid truncated where both exact-state tails are below exp(-T).
+    """Grid truncated where both exact-state tails are below exp(-T), so
+    that its Dirichlet ends err far below the h^2 discretization error.
 
     The inner tail goes like exp(-sqrt(c)/(2 r^2)) and the outer like
     exp(-sqrt(a) r^2 / 2), giving r_min = sqrt(sqrt(c)/(2T)) and
@@ -131,22 +115,17 @@ def assemble(params: PotentialParams, m: int, grid: RadialGrid) -> DiscreteHamil
     return DiscreteHamiltonian(diag=diag, offdiag=-1.0 / h**2)
 
 
-# ---------------------------------------------------------------------------
-# Sturm-count isolation + twisted-factorization Rayleigh refinement
-# ---------------------------------------------------------------------------
-
 def _pivots(d: list, e2: float, lam: float, pivmin: float) -> np.ndarray:
     """Pivots q_i = d_i - lam - e2 / q_(i-1), q_0 = inf, of T - lam I = L D L^T;
     how many are negative is the Sturm count of lam.  A pivot smaller than
     pivmin in magnitude is replaced by -pivmin, so it counts either way.
 
-    The sweep runs unguarded over Python floats straight into the array
-    (np.fromiter, no intermediate list), several times faster than indexing
-    numpy arrays element by element.  Only when it divides by an exact zero,
-    or min|q_i| is not >= pivmin (NaN included), is it redone with the guard
-    on every element; otherwise the guard would not have fired, so the
-    pivots are the same bit for bit.  lam is made a Python float so that a
-    zero pivot raises instead of giving inf."""
+    The sweep runs unguarded over Python floats, several times faster than
+    indexing numpy arrays.  Only when it divides by an exact zero, or
+    min|q_i| is not >= pivmin (NaN included), is it redone with the guard on
+    every element; otherwise the guard would not have fired, so the pivots
+    are the same bit for bit.  lam is made a Python float so that a zero
+    pivot raises instead of giving inf."""
     lam = float(lam)
     q = math.inf
     try:
@@ -215,11 +194,10 @@ def _twisted_rayleigh(ham: DiscreteHamiltonian, sigma: float, window=None):
     forward sweep stops there and r is sought in [0, hi].  On the grids
     build_grid makes, where |gamma| still falls past hi it does so by one
     index and by < 5e-5 relative, which moves the quotient only at rounding
-    level.  On a stencil too coarse for the vector to peak inside the grid
-    the pairs fail the certificate, and lowest_eigenvalues raises
-    ConvergenceError.  Returns the unit vector, built, scaled and signed in
-    place (its first nonzero entry, at or before r, made positive; division
-    and negation are exact), its Rayleigh quotient and its residual.
+    level; on a stencil too coarse for the vector to peak inside the grid
+    the residual is large.  Returns the unit vector, signed so that its
+    first nonzero entry, at or before r, is positive (division and negation
+    are exact), its Rayleigh quotient and its residual.
     """
     d, e2, pivmin = ham._recurrence
     e = abs(ham.offdiag)
@@ -251,11 +229,10 @@ def _window(guide: np.ndarray, n: int) -> tuple[int, int, int]:
     """The window (lo, hi, stop) of _twisted_rayleigh on an n-point grid of
     the interval that guide, a unit eigenvector on a coarser grid, spans.
 
-    Index i of the guide's grid sits where index (i+1)(n+1)/(len+1) - 1
-    of this one does.  lo and hi are the guide's peak -+ margin, and stop is
+    Index i of the guide's grid sits where index (i+1)(n+1)/(len+1) - 1 of
+    this one does.  lo and hi are the guide's peak -+ margin, and stop is
     its last entry not below NODE_REL_FLOOR of the peak, + margin, where
-    margin = ceil(n / len) + 2 covers one guide spacing and rounding.  Past
-    stop the eigenvector is below the floor node_count ignores."""
+    margin = ceil(n / len) + 2 covers one guide spacing and rounding."""
     size = len(guide)
     mags = np.abs(guide)
     peak = int(mags.argmax())
@@ -271,11 +248,8 @@ def _window(guide: np.ndarray, n: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Lowest eigenpairs of the discrete radial operator.
-
-    Eigenvalues ascend strictly; eigenvectors are unit Euclidean norm with
-    the first nonzero component positive.
-    """
+    """Lowest eigenpairs of the discrete radial operator: eigenvalues ascending
+    strictly, eigenvectors of unit norm with the first nonzero entry positive."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # shape (k, n)
@@ -303,40 +277,34 @@ def lowest_eigenvalues(
     """k smallest eigenpairs: Rayleigh refinement on twisted factorizations
     from starting shifts, every returned pair accepted by one certificate.
 
-    The certificate (_certified) takes the k refined pairs and a shift top
-    whose Sturm count is k.  It holds if every refinement stopped on its
-    rounding-level test and the intervals [rho_j - res_j - s, rho_j + res_j
-    + s] ascend without overlap and end below top, res_j the residual
-    |T v - rho v| and s = 4 eps * max(|lo|, |hi|), lo and hi the Gershgorin
-    ends.  Each interval holds an eigenvalue (Parlett, The Symmetric
-    Eigenvalue Problem, 1980), and k disjoint ones below top, where only
-    lambda_1 ... lambda_k lie, hold exactly those, in order.  A refinement's
-    last step is the first that moves the quotient by at most
-    eps * max(|lo|, |hi|), or the RAYLEIGH_STEPS-th; the pair is that
-    step's vector and quotient.
+    A refinement steps from its start until a step moves the quotient by at
+    most rounding = eps * max(|lo|, |hi|), lo and hi the Gershgorin ends
+    (it settles), or for RAYLEIGH_STEPS steps; its pair is the last step's
+    vector and quotient.  The certificate (_certified) takes the k pairs and
+    a shift top whose Sturm count is k.  It holds if every refinement
+    settled and the intervals rho_j -+ (res_j + 4 rounding), res_j the
+    residual |T v - rho v|, ascend without overlap and end below top.  Each
+    interval holds an eigenvalue (Parlett, The Symmetric Eigenvalue Problem,
+    1980), and k disjoint ones below top, where only lambda_1 ... lambda_k
+    lie, hold exactly those, in order.
 
-    Predictions p_1 < ... < p_k (k >= 2, all finite, strictly ascending)
-    give one Sturm count, at top = p_k + (p_k - p_(k-1))/2.  If it counts k
-    eigenvalues, Rayleigh steps start from each p_j and the pairs are
-    returned if they pass the certificate at that top.  guides, unit
-    eigenvectors of the same operator on a coarser grid of the same
-    interval, one per eigenvalue, window these steps (_window): they sweep
-    only around where guides[j-1] peaks and up to where it falls below
-    NODE_REL_FLOOR, and the residual includes the coupling cut there.  A
-    misleading guide can make the pairs fail the certificate, never pass it
-    wrongly.
+    Finite predictions p_1 < ... < p_k, k >= 2, give one Sturm count, at
+    top = p_k + (p_k - p_(k-1))/2.  If it counts k, refinements start from
+    each p_j, windowed by guides, unit eigenvectors on a coarser grid of the
+    same interval, one per eigenvalue (_window), and their pairs are
+    returned if they pass the certificate at that top.  A misleading guide
+    can make them fail it, never pass it wrongly.
 
-    Otherwise (no usable prediction, or pairs that fail) bisection supplies
-    the starting shifts, as in MRRR (Dhillon, Parlett & Voemel, ACM TOMS
-    32, 2006).  Every Sturm probe made on the matrix, the Gershgorin ends
-    and top included, goes into one table of (shift, count).  The j-th
-    eigenvalue is isolated by the bracket [a_j, b_j] of the largest shift
-    with count <= j-1 and the smallest with count >= j, once those counts
-    are j-1 and j, so probes made for one eigenvalue bound the next.  Tier
-    1 bisects each bracket only until it is isolated, tier 2 on until b - a
-    is within 1e-3 of max(|a|, |b|, floor).  Each tier refines from the
-    brackets' midpoints, unguided, and returns the pairs if they pass the
-    certificate at top = b_k; if tier 2's fail too, ConvergenceError.
+    Otherwise bisection supplies the starts, as in MRRR (Dhillon, Parlett &
+    Voemel, ACM TOMS 32, 2006).  Every Sturm probe made on the matrix, the
+    Gershgorin ends and top included, goes into one table of (shift, count).
+    The j-th eigenvalue is isolated by the bracket [a_j, b_j] of the largest
+    shift with count <= j-1 and the smallest with count >= j, once those
+    counts are j-1 and j, so probes made for one eigenvalue bound the next.
+    Tier 1 bisects each bracket only until it is isolated, tier 2 on until
+    b - a is within 1e-3 of max(|a|, |b|, floor).  Each tier refines from
+    the brackets' midpoints, unguided, and returns the pairs if they pass
+    the certificate at top = b_k; if tier 2's fail too, ConvergenceError.
     """
     n = ham.n
     if not 1 <= k <= n:
@@ -401,10 +369,6 @@ def node_count(v: np.ndarray) -> int:
     return int(np.count_nonzero(negative[:-1] != negative[1:]))
 
 
-# ---------------------------------------------------------------------------
-# Quadrature, normalization, overlaps
-# ---------------------------------------------------------------------------
-
 def _simpson(y: np.ndarray, h: float) -> float:
     """Composite Simpson sum of the samples y, spaced h apart."""
     return h / 3.0 * float(y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
@@ -413,18 +377,15 @@ def _simpson(y: np.ndarray, h: float) -> float:
 def quadrature(f, grid: RadialGrid, abs_tol: float = 0.0) -> float:
     """Composite Simpson over [r_min, r_max], doubling the resolution from
     16 intervals until two successive estimates agree to QUAD_REL_TOL
-    (relative), or returning the first estimate that is not finite: a
-    non-finite sample stays in every finer level.
+    (relative) or abs_tol, the floor for integrals that cancel to (near)
+    zero, or returning the first estimate that is not finite: a non-finite
+    sample stays in every finer level.
 
-    f is called once on QUAD_SAMPLED + 1 equispaced points, and the levels
-    up to QUAD_SAMPLED intervals are strided views of those samples; the
-    call, not the points, is what costs.  Each later doubling calls f once
-    on its own linspace.  linspace(a, b, 1025)[::64] equals
+    f is called once on QUAD_SAMPLED + 1 = 1025 equispaced points, and the
+    levels up to 1024 intervals are strided views of those samples; the
+    call, not the points, is what costs.  linspace(a, b, 1025)[::64] equals
     linspace(a, b, 17) bit for bit, so every estimate is that of sampling
-    each level afresh.
-
-    abs_tol gives an absolute convergence floor for integrals that cancel to
-    (near) zero, where a purely relative criterion can never trigger.
+    each level afresh.  Each later doubling calls f on its own linspace.
     """
     a, b = grid.r_min, grid.r_max
     y = np.asarray(f(np.linspace(a, b, QUAD_SAMPLED + 1)), dtype=float)
@@ -475,34 +436,33 @@ def _cosine(s1: ClosedFormState, s2: ClosedFormState, grid: RadialGrid, i1: floa
     return cross / scale
 
 
-# ---------------------------------------------------------------------------
-# Convergence diagnostics and orchestration
-# ---------------------------------------------------------------------------
+def _extrapolate(hs, values, h):
+    """The polynomial in h^2 through the points (hs[i], values[i]), at h, by
+    Neville's scheme in t = h^2: each pass raises the degree by one, so one
+    point gives its own value and two their line (Richardson extrapolation,
+    at h = 0).  values may be arrays, extrapolated entry by entry."""
+    ts = [x**2 for x in hs]
+    for d in range(1, len(values)):
+        values = [
+            q + (q - p) * (h**2 - ts[i + d]) / (ts[i + d] - ts[i])
+            for i, (p, q) in enumerate(zip(values, values[1:]))
+        ]
+    return values[0]
+
 
 def _error_table(params: PotentialParams, m: int, exact: tuple, n_list):
     """Spacings h over the ascending n_list, |eigenvalue - exact| per level
     (one row per entry of exact), and the finest grid and its spectrum.
 
     A ladder of scout grids of n_list[0] // 4^k points, k = 1, 2, ..., each
-    kept only if it has MIN_GRID_POINTS, is solved first in ascending
-    order; their eigenvalues only feed predictions and get no row.  Each
-    grid's eigensolve is given predicted eigenvalues from the grids before
-    it, never from exact: the previous grid's eigenvalues, the line in h^2
-    through the last two grids, or, from the fourth grid on, the quadratic
-    in h^2 through the last three (Richardson extrapolation carried one
-    order further), each evaluated at this grid's h^2.  The quadratic also
-    cancels the h^4 term, so on the larger grids a prediction misses by
-    less than the rounding floor and one Rayleigh step settles it.  The
-    previous grid's eigenvectors go along as guides, so that step sweeps
-    only up to where they fall below NODE_REL_FLOOR (74% and 85% of the
-    64000-point grid of verify(1, 0, 64000), ground and excited).
-    Predictions that keep the eigenvalues apart cost one Sturm pass per
-    grid; where the pairs started from them fail the certificate of
-    lowest_eigenvalues, the grid is bisected.  The first grid solved, the
-    smallest rung (16 to 63 points when there is one), has no prediction
-    and is bisected from Gershgorin.  The finest operator is
-    assembled before any grid is solved, so one too large to allocate
-    raises MemoryError at once."""
+    of at least MIN_GRID_POINTS, is solved first, smallest first; their
+    eigenvalues get no row.  The first grid solved, under 64 points when
+    there is a ladder, is bisected.  Every later one is given predictions,
+    never from exact: _extrapolate through the last three grids (fewer
+    while fewer exist), whose quadratic in h^2 also cancels the h^4 term,
+    so on larger grids a prediction misses by less than the rounding floor
+    and one Rayleigh step settles it; and guides, the previous grid's
+    eigenvectors, which window those steps (lowest_eigenvalues)."""
     scouts = []
     while (rung := n_list[0] // 4 ** (len(scouts) + 1)) >= MIN_GRID_POINTS:
         scouts.insert(0, rung)
@@ -512,20 +472,10 @@ def _error_table(params: PotentialParams, m: int, exact: tuple, n_list):
     finest = assemble(params, m, grids[-1])
     hs, found, guides = [], [], ()
     for grid in grids:
-        h = grid.h
-        # Neville's scheme in t = h^2 through the last three grids (fewer
-        # while fewer exist): each pass raises the degree by one, so two
-        # grids give their line and one gives its own eigenvalues
-        ts, predicted = [x**2 for x in hs[-3:]], found[-3:]
-        for d in range(1, len(predicted)):
-            predicted = [
-                q + (q - p) * (h**2 - ts[i + d]) / (ts[i + d] - ts[i])
-                for i, (p, q) in enumerate(zip(predicted, predicted[1:]))
-            ]
-        predicted = predicted[0] if predicted else ()
+        predicted = _extrapolate(hs[-3:], found[-3:], grid.h) if hs else ()
         ham = finest if grid is grids[-1] else assemble(params, m, grid)
         spectrum = lowest_eigenvalues(ham, len(exact), predicted, guides)
-        hs.append(h)
+        hs.append(grid.h)
         found.append(spectrum.eigenvalues)
         guides = spectrum.eigenvectors
     reported = slice(len(scouts), None)
@@ -536,12 +486,6 @@ def _error_table(params: PotentialParams, m: int, exact: tuple, n_list):
 def _order(hs: np.ndarray, errs: np.ndarray) -> float:
     """Least-squares slope of log(err) against log(h)."""
     return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
-
-
-def richardson(e_coarse: float, h_coarse: float, e_fine: float, h_fine: float) -> float:
-    """Second-order Richardson extrapolation of two eigenvalue estimates."""
-    rho = (h_coarse / h_fine) ** 2
-    return (rho * e_fine - e_coarse) / (rho - 1.0)
 
 
 @dataclass(frozen=True)
@@ -565,21 +509,19 @@ class VerificationReport:
 
 
 def verify(a: float, m: int, n: int = 4000) -> VerificationReport:
-    """Reproduce the joint configuration numerically and cross-check everything.
+    """Cross-check the joint configuration of (a, m) on an n-point grid.
 
-    Solves the closed form, discretizes, extracts the two lowest eigenpairs,
-    counts nodes, measures the ground/excited overlap and normalization
-    constants (the norm integral of each state computed once and shared by
-    both), and fits the h^2 error model across {n/4, n/2, n}; n >= 64
-    keeps the coarsest of those grids at its 16-point minimum or above.
-    A ladder of scout grids of n/16, n/64, n/256, ... points, each down to
-    that minimum, is solved first, smallest first, as _error_table tells;
-    every pair is certified as lowest_eigenvalues tells.  The report fails
-    if any |E_hat - E| exceeds 10x the fitted model prediction, the node
-    counts differ from (0, 1), or the overlap exceeds 1e-8.
+    Reports both states' exact and numeric energies and errors on that
+    grid, the node counts, the ground/excited overlap, the normalization
+    constants and the order of the h^2 error model fitted over the grids
+    n/4, n/2 and n (_error_table).  The report fails if any |E_hat - E|
+    exceeds 10x the model's prediction, the node counts are not (0, 1),
+    |overlap| exceeds 1e-8, or a normalization constant, the overlap or the
+    order is not finite.
     """
-    if n < 64:
-        raise ValueError(f"verify needs n >= 64 grid points (its coarsest grid has n // 4), got {n}")
+    if n < 4 * MIN_GRID_POINTS:
+        raise ValueError(f"verify needs n >= {4 * MIN_GRID_POINTS} grid points "
+                         f"(its coarsest grid has n // 4), got {n}")
     joint = excited_solve(a, m)
     exact = (joint.ground.energy, joint.excited.energy)
     hs, errs, grid, spectrum = _error_table(joint.params, m, exact, [n // 4, n // 2, n])

@@ -15,13 +15,13 @@ from scipy.special import kv
 from anharm2d import cli
 from anharm2d.closed_form import excited_solve, radial_eval
 from anharm2d.numeric import (
+    _extrapolate,
     assemble,
     build_grid,
     lowest_eigenvalues,
     node_count,
     overlap,
     quadrature,
-    richardson,
     verify,
 )
 from tests.test_closed_form import rel_excited_residual, rel_ground_residual
@@ -68,7 +68,7 @@ def test_criterion_2_spectral_oracle(capsys):
     assert np.all(errs <= 1e-3)
 
     (e1, h1), (e2, h2) = estimates[2000], estimates[4000]
-    extrapolated = np.array([richardson(e1[i], h1, e2[i], h2) for i in range(2)])
+    extrapolated = _extrapolate([h1, h2], [e1, e2], 0.0)
     rich_errs = np.abs(extrapolated - exact)
     assert np.all(rich_errs <= 1e-4)
 

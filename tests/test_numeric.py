@@ -17,6 +17,7 @@ from anharm2d.numeric import (
     DiscreteHamiltonian,
     RadialGrid,
     _error_table,
+    _extrapolate,
     _gershgorin_bounds,
     _pivots,
     assemble,
@@ -26,7 +27,6 @@ from anharm2d.numeric import (
     normalization_constant,
     overlap,
     quadrature,
-    richardson,
     sturm_count,
     verify,
 )
@@ -562,7 +562,31 @@ def _eval_excited(sec3, r):
     return radial_eval(sec3.excited, r)
 
 
+# 0 or at least 1e-6 in magnitude, so that no term falls to subnormal
+COEFFICIENTS = st.floats(-10.0, 10.0).filter(lambda c: c == 0.0 or abs(c) >= 1e-6)
+
+
 class TestConvergence:
+    @given(st.floats(1e-4, 0.1), COEFFICIENTS, COEFFICIENTS, COEFFICIENTS, st.floats(0.0, 4.0))
+    def test_extrapolate_reproduces_a_quadratic_in_h2(self, h, c0, c1, c2, at):
+        # through three points of a ladder the quadratic in h^2 is the polynomial itself
+        def poly(x):
+            return c0 + c1 * x**2 + c2 * x**4
+
+        hs = [4.0 * h, 2.0 * h, h]
+        values = [poly(x) for x in hs]
+        want = poly(at * h)
+        got = _extrapolate(hs, values, at * h)
+        assert abs(got - want) <= 8 * math.ulp(max(map(abs, [*values, want])))
+
+    @given(st.floats(1e-4, 0.1), st.sampled_from([2.0, 4.0]), COEFFICIENTS, COEFFICIENTS)
+    def test_extrapolate_through_two_points_is_richardson(self, h_f, ratio, e_c, e_f):
+        h_c = ratio * h_f
+        rho = (h_c / h_f) ** 2
+        richardson = (rho * e_f - e_c) / (rho - 1.0)
+        got = _extrapolate([h_c, h_f], [e_c, e_f], 0.0)
+        assert abs(got - richardson) <= 4 * math.ulp(max(abs(e_c), abs(e_f), abs(richardson)))
+
     def test_error_ratio_near_four(self, sec3):
         errs = []
         for n in (500, 1000):
@@ -589,7 +613,8 @@ class TestConvergence:
             g = build_grid(sec3.params, n)
             result = lowest_eigenvalues(assemble(sec3.params, 0, g), 1)
             estimates.append((float(result.eigenvalues[0]), g.h))
-        extrapolated = richardson(estimates[0][0], estimates[0][1], estimates[1][0], estimates[1][1])
+        (e_c, h_c), (e_f, h_f) = estimates
+        extrapolated = _extrapolate([h_c, h_f], [e_c, e_f], 0.0)
         assert abs(extrapolated + 2.0) < 0.01 * abs(estimates[1][0] + 2.0)
 
     def test_truncation_negligible_vs_discretization(self, sec3, monkeypatch):
@@ -603,9 +628,7 @@ class TestConvergence:
                 result = lowest_eigenvalues(assemble(sec3.params, 0, g), 2)
                 out.append((result.eigenvalues, g.h))
             (e1, h1), (e2, h2) = out
-            return np.array(
-                [richardson(e1[i], h1, e2[i], h2) for i in range(2)]
-            )
+            return _extrapolate([h1, h2], [e1, e2], 0.0)
 
         diff = np.abs(extrapolated(45.0) - extrapolated(90.0))
         assert np.all(diff < 1e-8)
