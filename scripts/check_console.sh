@@ -26,3 +26,4 @@ rc=0; anharm2d eval --a 1 --samples 1000000000000000 2> "$tmp/err" || rc=$?; tes
 rc=0; anharm2d normalize --state excited --a 1 --c 2.25 --b -9 --m -1 2> "$tmp/err" || rc=$?; test "$rc" -eq 2; grep "^error:" "$tmp/err"
 rc=0; anharm2d solve --a 1 --m "1$(printf '%0160d' 0)" 2> "$tmp/err" || rc=$?; test "$rc" -eq 2; grep "^error:" "$tmp/err"
 rc=0; timeout 60 "${cli[@]}" verify --a 1 --m 0 --grid-n 10000000000000000 2> "$tmp/err" || rc=$?; test "$rc" -eq 2; grep "^error:" "$tmp/err"
+rc=0; anharm2d solve --a 1 --out "$tmp/missing/x.json" 2> "$tmp/err" || rc=$?; test "$rc" -eq 2; grep "^error:" "$tmp/err"

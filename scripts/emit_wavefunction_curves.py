@@ -12,13 +12,13 @@ import argparse
 from anharm2d.cli import main as cli_main
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--a", type=float, default=1.0)
     parser.add_argument("--m", type=int, default=0)
     parser.add_argument("--samples", type=int, default=1000)
     parser.add_argument("--prefix", default="radial", help="output file prefix")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     for state in ("ground", "excited"):
         out = f"{args.prefix}_{state}.csv"

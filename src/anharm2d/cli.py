@@ -1,8 +1,8 @@
 """Command-line front end: solve / eval / verify / normalize.
 
-Exit codes: 0 ok, 2 invalid input (a size too large to allocate included),
-3 constraint or solvability violation, 4 convergence failure, 5 verification
-failed.
+Exit codes: 0 ok, 2 invalid input (a size too large to allocate and an
+unwritable --out included), 3 constraint or solvability violation, 4
+convergence failure, 5 verification failed.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def cmd_verify(args) -> int:
 
 def cmd_normalize(args) -> int:
     state, params = _resolve_state(args)
-    grid = build_grid(params, 4000)
+    grid = build_grid(params, MIN_GRID_POINTS)  # only its interval is used
     n = normalization_constant(state, grid)
     doc = {"integral": n**-2, "N": n}
     _write_text(args.out, json.dumps(doc, indent=2) + "\n")
@@ -180,7 +180,7 @@ def main(argv=None) -> int:
         # the cmd_* function is looked up now, not when the parser was built,
         # so that one replaced on the module (by a test or a tracer) is called
         return globals()[f"cmd_{args.command}"](args)
-    except (ConvergenceError, ValueError, MemoryError) as exc:  # SolvabilityError is a ValueError
+    except (ConvergenceError, ValueError, MemoryError, OSError) as exc:  # SolvabilityError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, SolvabilityError):
             return EXIT_CONSTRAINT

@@ -6,7 +6,7 @@ from scratch, with no library eigensolver.  Each mechanism is told once,
 where it is done: lowest_eigenvalues (the residual certificate, the
 predicted path, the bisection tiers), _twisted_rayleigh (the Rayleigh step,
 its window and its residual), sturm_count (the turning-point cut),
-_error_table (the ladder of grids, the predictions, the guides), quadrature
+_ladder (the ladder of grids, the predictions, the guides), quadrature
 (the 1025-point sampling) and verify (the report and when it fails).
 """
 
@@ -450,18 +450,16 @@ def _extrapolate(hs, values, h):
     return values[0]
 
 
-def _error_table(params: PotentialParams, m: int, exact: tuple, n_list):
-    """Spacings h over the ascending n_list, |eigenvalue - exact| per level
-    (one row per entry of exact), and the finest grid and its spectrum.
+def _ladder(params: PotentialParams, m: int, k: int, n_list):
+    """Every grid of the ladder, coarsest first, and its k lowest eigenpairs.
 
-    A ladder of scout grids of n_list[0] // 4^k points, k = 1, 2, ..., each
-    of at least MIN_GRID_POINTS, is solved first, smallest first; their
-    eigenvalues get no row.  The first grid solved, under 64 points when
-    there is a ladder, is bisected.  Every later one is given predictions,
-    never from exact: _extrapolate through the last three grids (fewer
-    while fewer exist), whose quadratic in h^2 also cancels the h^4 term,
-    so on larger grids a prediction misses by less than the rounding floor
-    and one Rayleigh step settles it; and guides, the previous grid's
+    The ladder is scout grids of n_list[0] // 4^j points, j = 1, 2, ..., each
+    of at least MIN_GRID_POINTS, then the ascending n_list.  The first grid
+    solved, under 64 points when there is a ladder, is bisected.  Every later
+    one is given predictions: _extrapolate through the last three grids
+    (fewer while fewer exist), whose quadratic in h^2 also cancels the h^4
+    term, so on larger grids a prediction misses by less than the rounding
+    floor and one Rayleigh step settles it; and guides, the previous grid's
     eigenvectors, which window those steps (lowest_eigenvalues)."""
     scouts = []
     while (rung := n_list[0] // 4 ** (len(scouts) + 1)) >= MIN_GRID_POINTS:
@@ -470,17 +468,15 @@ def _error_table(params: PotentialParams, m: int, exact: tuple, n_list):
     # the finest operator first, so a grid too large to allocate fails at
     # once instead of after every rung below it
     finest = assemble(params, m, grids[-1])
-    hs, found, guides = [], [], ()
-    for grid in grids:
-        predicted = _extrapolate(hs[-3:], found[-3:], grid.h) if hs else ()
+    spectra, guides = [], ()
+    for i, grid in enumerate(grids):
+        prior = slice(max(i - 3, 0), i)  # the last three grids solved
+        values = [s.eigenvalues for s in spectra[prior]]
+        predicted = _extrapolate([g.h for g in grids[prior]], values, grid.h) if values else ()
         ham = finest if grid is grids[-1] else assemble(params, m, grid)
-        spectrum = lowest_eigenvalues(ham, len(exact), predicted, guides)
-        hs.append(grid.h)
-        found.append(spectrum.eigenvalues)
-        guides = spectrum.eigenvectors
-    reported = slice(len(scouts), None)
-    errs = np.abs(np.array(found[reported]) - np.array(exact)).T
-    return np.array(hs[reported]), errs, grid, spectrum
+        spectra.append(lowest_eigenvalues(ham, k, predicted, guides))
+        guides = spectra[-1].eigenvectors
+    return grids, spectra
 
 
 def _order(hs: np.ndarray, errs: np.ndarray) -> float:
@@ -514,7 +510,8 @@ def verify(a: float, m: int, n: int = 4000) -> VerificationReport:
     Reports both states' exact and numeric energies and errors on that
     grid, the node counts, the ground/excited overlap, the normalization
     constants and the order of the h^2 error model fitted over the grids
-    n/4, n/2 and n (_error_table).  The report fails if any |E_hat - E|
+    n/4, n/2 and n, the last three of the ladder (_ladder), which is solved
+    without the exact energies.  The report fails if any |E_hat - E|
     exceeds 10x the model's prediction, the node counts are not (0, 1),
     |overlap| exceeds 1e-8, or a normalization constant, the overlap or the
     order is not finite.
@@ -524,18 +521,20 @@ def verify(a: float, m: int, n: int = 4000) -> VerificationReport:
                          f"(its coarsest grid has n // 4), got {n}")
     joint = excited_solve(a, m)
     exact = (joint.ground.energy, joint.excited.energy)
-    hs, errs, grid, spectrum = _error_table(joint.params, m, exact, [n // 4, n // 2, n])
+    grids, spectra = _ladder(joint.params, m, len(exact), [n // 4, n // 2, n])
+    hs = np.array([g.h for g in grids[-3:]])
+    errs = np.abs(np.array([s.eigenvalues for s in spectra[-3:]]) - np.array(exact)).T
     order = _order(hs, errs[0])
     # least-squares fit of err = C h^2, one constant per level
     c = np.sum(errs * hs**2, axis=1) / np.sum(hs**4)
 
-    h_fine, errs_fine = grid.h, errs[:, -1]
+    grid, spectrum, errs_fine = grids[-1], spectra[-1], errs[:, -1]
     nodes = tuple(node_count(vec) for vec in spectrum.eigenvectors)
     integrals = [_norm_integral(state, grid) for state in (joint.ground, joint.excited)]
     ov = _cosine(joint.ground, joint.excited, grid, *integrals)
     norms = tuple(integral**-0.5 for integral in integrals)
     passed = (
-        np.all(errs_fine <= 10.0 * c * h_fine**2)
+        np.all(errs_fine <= 10.0 * c * grid.h**2)
         and nodes == (0, 1)
         and abs(ov) <= 1e-8
         and all(np.isfinite(x) for x in (*norms, ov, order))

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -393,6 +394,22 @@ class TestMain:
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "command",
+        [["solve"], ["eval", "--samples", "5"], ["verify", "--grid-n", "64"], ["normalize"]],
+        ids=["solve", "eval", "verify", "normalize"],
+    )
+    @pytest.mark.parametrize("target", ["missing-directory", "directory", "full-device"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, command, target):
+        # a path in a missing directory, a directory, or a full device: the
+        # write's OSError used to end in a traceback and exit 1
+        if target == "full-device" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
+        out = {"missing-directory": tmp_path / "missing" / "x.json", "directory": tmp_path,
+               "full-device": "/dev/full"}[target]
+        code, stdout, err = run(capsys, *command, "--a", "1", "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: ")
 
     @pytest.mark.parametrize("command", ["solve", "verify", "eval", "normalize"])
     def test_m_too_large_for_a_float_exits_2(self, capsys, command):

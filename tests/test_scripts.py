@@ -29,3 +29,13 @@ class TestRunVerification:
         )
         assert script.main(["--grid-n", "256"]) == EXIT_VERIFY_FAILED
         assert capsys.readouterr().out.count(" NO") == 1
+
+
+class TestEmitWavefunctionCurves:
+    def test_writes_both_curves(self, tmp_path, capsys):
+        load_script("emit_wavefunction_curves").main(["--samples", "50", "--prefix", str(tmp_path / "c")])
+        for state in ("ground", "excited"):
+            lines = (tmp_path / f"c_{state}.csv").read_text().splitlines()
+            assert lines[0] == "r,R"
+            assert len(lines) == 51
+        assert capsys.readouterr().out.count("wrote ") == 2
