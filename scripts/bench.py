@@ -12,13 +12,17 @@ untraced runs (end-to-end metrics) alternate which tree goes first, each
 pair on its own seed, and one traced run per tree (per-layer metrics)
 follows. Per end-to-end metric the record holds each tree's per-pair
 values, median and quartiles, and how many pairs the checkout won (ties
-count for neither side). Per run it holds perfbench's result (correct,
-attempted, failed, metrics), the exit status of run.py and its stderr
-summary up to the machine-speed line, which carries the raw wall-time
-medians and the machine speed. It also records the git commit (and whether
-the tree differed from it) and the Python, numpy and platform versions.
+count for neither side). A pair in which either run exited nonzero or
+reported failed operations is left out of every comparison, and the record
+counts the latter as pairs_with_failed_operations. Per run it holds
+perfbench's result (correct, attempted, failed, metrics), the exit status
+of run.py and its stderr summary up to the machine-speed line, which
+carries the raw wall-time medians and the machine speed. It also records
+the git commit (and whether the tree differed from it) and the Python,
+numpy and platform versions.
 
-The script exits 1, after writing the record, if any run of run.py failed.
+The script exits 1, after writing the record, if any run of run.py exited
+nonzero or reported a failed operation.
 """
 
 import argparse
@@ -96,10 +100,11 @@ def paired(parent: Path, workload: str, pairs: int, seconds: float, better: dict
         for side in orders[i % 2]:
             runs[side].append(run(trees[side], workload, seed, seconds, 0))
     traced = {side: run(trees[side], workload, PAIR_SEED, seconds, 1) for side in trees}
+    kept = [(p, c) for p, c in zip(runs["parent"], runs["change"]) if p["exit"] == c["exit"] == 0]
+    valid = [(p, c) for p, c in kept if not (p["failed"] or c["failed"])]
     metrics = {}
     for name, direction in better.items():
-        values = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
-                  for p, c in zip(runs["parent"], runs["change"]) if p["exit"] == c["exit"] == 0]
+        values = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in valid]
         sign = 1.0 if direction == "lower" else -1.0
         metrics[name] = {
             "better": direction,
@@ -109,6 +114,7 @@ def paired(parent: Path, workload: str, pairs: int, seconds: float, better: dict
             "pairs": len(values),
         }
     return {"seeds": seeds, "first": [orders[i % 2][0] for i in range(pairs)],
+            "pairs_with_failed_operations": len(kept) - len(valid),
             "metrics": metrics, "runs": runs, "traced": traced}
 
 
@@ -162,7 +168,7 @@ def main(argv=None) -> int:
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(path)
-    return 1 if any(result["exit"] for result in results) else 0
+    return 1 if any(result["exit"] or result["failed"] for result in results) else 0
 
 
 if __name__ == "__main__":

@@ -49,6 +49,7 @@ CONSOLE = (
     ("normalize", "--state", "excited", "--a", "1", "--c", "2.25", "--b", "-9", "--m", "-1"),
     ("solve", "--a", "1", "--m", "1" + "0" * 160),
     ("verify", "--a", "1", "--m", "0", "--grid-n", "10000000000000000"),
+    ("verify", "--a", "1e308", "--m", "0", "--grid-n", "64"),
     ("solve", "--a", "1", "--out", "no-such-directory/x.json"),
 )
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -105,14 +105,25 @@ class DiscreteHamiltonian:
 
 def assemble(params: PotentialParams, m: int, grid: RadialGrid) -> DiscreteHamiltonian:
     """Three-point stencil (-v[i-1] + 2 v[i] - v[i+1])/h^2 + W(r_i) v[i]
-    with W = V + (m^2 - 1/4)/r^2 and Dirichlet closure; ConvergenceError if W overflows."""
+    with W = V + (m^2 - 1/4)/r^2 and Dirichlet closure; ConvergenceError if W
+    overflows, or its terms overflow to infinities of opposite sign."""
     r = grid.points()
     h = grid.h
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN, caught below
         diag = 2.0 / h**2 + params.evaluate(r) + centrifugal_coefficient(m) / r**2
     if not np.all(np.isfinite(diag)):
         raise ConvergenceError("the discretized operator overflows double precision")
     return DiscreteHamiltonian(diag=diag, offdiag=-1.0 / h**2)
+
+
+def _sweep(d: list, e2: float, lam: float):
+    """The unguarded pivots of _pivots, one per element of d.  A generator
+    function keeps q, lam and e2 in fast locals; a generator expression
+    that binds q would keep them in closure cells, loaded per element."""
+    q = math.inf
+    for di in d:
+        q = di - lam - e2 / q
+        yield q
 
 
 def _pivots(d: list, e2: float, lam: float, pivmin: float) -> np.ndarray:
@@ -120,16 +131,15 @@ def _pivots(d: list, e2: float, lam: float, pivmin: float) -> np.ndarray:
     how many are negative is the Sturm count of lam.  A pivot smaller than
     pivmin in magnitude is replaced by -pivmin, so it counts either way.
 
-    The sweep runs unguarded over Python floats, several times faster than
-    indexing numpy arrays.  Only when it divides by an exact zero, or
-    min|q_i| is not >= pivmin (NaN included), is it redone with the guard on
-    every element; otherwise the guard would not have fired, so the pivots
-    are the same bit for bit.  lam is made a Python float so that a zero
-    pivot raises instead of giving inf."""
+    The sweep (_sweep) runs unguarded over Python floats, several times
+    faster than indexing numpy arrays.  Only when it divides by an exact
+    zero, or min|q_i| is not >= pivmin (NaN included), is it redone with the
+    guard on every element; otherwise the guard would not have fired, so the
+    pivots are the same bit for bit.  lam is made a Python float so that a
+    zero pivot raises instead of giving inf."""
     lam = float(lam)
-    q = math.inf
     try:
-        pivots = np.fromiter((q := di - lam - e2 / q for di in d), float, len(d))
+        pivots = np.fromiter(_sweep(d, e2, lam), float, len(d))
     except ZeroDivisionError:
         pivots = None
     if pivots is None or not abs(pivots).min() >= pivmin:
@@ -220,7 +230,8 @@ def _twisted_rayleigh(ham: DiscreteHamiltonian, sigma: float, window=None):
     edge = e * z[stop - 1] if stop < ham.n else 0.0  # (T - sigma I) z at stop
     res = math.hypot(gamma_r * math.sqrt(1.0 - 1.0 / norm2), edge) / norm
     z /= norm
-    if z[(abs(z[:r + 1]) > 0.0).argmax()] < 0.0:
+    # z[0], unless it underflowed, is the first nonzero entry
+    if (z[0] if abs(z[0]) > 0.0 else z[(abs(z[:r + 1]) > 0.0).argmax()]) < 0.0:
         np.negative(z, out=z)
     return z, sigma + gamma_r / norm2, res
 
@@ -403,11 +414,13 @@ def quadrature(f, grid: RadialGrid, abs_tol: float = 0.0) -> float:
     raise ConvergenceError("Simpson quadrature did not converge")
 
 
-def _norm_integral(state: ClosedFormState, grid: RadialGrid) -> float:
-    """Integral of |R|^2 dr over the grid's interval.  Raises ConvergenceError
-    unless it is finite and > 0, as it is not when the interval misses the state."""
+def _norm_integral(state: ClosedFormState, grid: RadialGrid, R=None) -> float:
+    """Integral of |R|^2 dr over the grid's interval, R the callable of r given
+    or radial_eval(state, r).  Raises ConvergenceError unless it is finite
+    and > 0, as it is not when the interval misses the state."""
+    R = R or partial(radial_eval, state)
     with np.errstate(over="ignore"):  # an overflowing square gives inf, reported below
-        integral = quadrature(lambda r: radial_eval(state, r) ** 2, grid)
+        integral = quadrature(lambda r: R(r) ** 2, grid)
     if not (math.isfinite(integral) and integral > 0.0):
         raise ConvergenceError(
             f"norm integral of the {state.level.value} state on [{grid.r_min:.6g}, "
@@ -423,17 +436,28 @@ def normalization_constant(state: ClosedFormState, grid: RadialGrid) -> float:
 
 def overlap(s1: ClosedFormState, s2: ClosedFormState, grid: RadialGrid) -> float:
     """Normalized overlap integral of two closed-form states (in [-1, 1])."""
-    return _cosine(s1, s2, grid, _norm_integral(s1, grid), _norm_integral(s2, grid))
+    return _cosine(s1, s2, grid)[0]
 
 
-def _cosine(s1: ClosedFormState, s2: ClosedFormState, grid: RadialGrid, i1: float, i2: float) -> float:
-    """overlap(s1, s2, grid) from the norm integrals i1 and i2 of s1 and s2."""
+def _sampled(state: ClosedFormState, r0: np.ndarray):
+    """radial_eval(state, r), evaluated once at r0 and given again for any r
+    of as many points: quadrature's first level is always the same r0."""
+    y = radial_eval(state, r0)
+    return lambda r: y if len(r) == len(r0) else radial_eval(state, r)
+
+
+def _cosine(s1: ClosedFormState, s2: ClosedFormState, grid: RadialGrid):
+    """overlap(s1, s2, grid) and the norm integrals of s1 and s2.  Each state
+    is evaluated once at quadrature's first-level points, which its norm
+    integral and the cross integral share; a doubling past them evaluates
+    its own points."""
+    r0 = np.linspace(grid.r_min, grid.r_max, QUAD_SAMPLED + 1)
+    R1, R2 = _sampled(s1, r0), _sampled(s2, r0)
+    i1, i2 = _norm_integral(s1, grid, R1), _norm_integral(s2, grid, R2)
     scale = math.sqrt(i1 * i2)
     # orthogonal pairs cancel to ~0; resolve the cosine itself to 1e-11
-    cross = quadrature(
-        lambda r: radial_eval(s1, r) * radial_eval(s2, r), grid, abs_tol=1e-11 * scale
-    )
-    return cross / scale
+    cross = quadrature(lambda r: R1(r) * R2(r), grid, abs_tol=1e-11 * scale)
+    return cross / scale, i1, i2
 
 
 def _extrapolate(hs, values, h):
@@ -530,8 +554,7 @@ def verify(a: float, m: int, n: int = 4000) -> VerificationReport:
 
     grid, spectrum, errs_fine = grids[-1], spectra[-1], errs[:, -1]
     nodes = tuple(node_count(vec) for vec in spectrum.eigenvectors)
-    integrals = [_norm_integral(state, grid) for state in (joint.ground, joint.excited)]
-    ov = _cosine(joint.ground, joint.excited, grid, *integrals)
+    ov, *integrals = _cosine(joint.ground, joint.excited, grid)
     norms = tuple(integral**-0.5 for integral in integrals)
     passed = (
         np.all(errs_fine <= 10.0 * c * grid.h**2)

@@ -269,6 +269,17 @@ class TestVerifyCommand:
         assert "overflow" in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_opposite_infinities_in_the_operator_exit_4(self, capsys):
+        # at a = 1e308, a r^2 overflows to inf where b r^-4 overflows to -inf;
+        # their sum is NaN, which used to warn "invalid value" before exit 4
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "verify", "--a", "1e308", "--m", "0", "--grid-n", "64")
+        assert (code, out) == (4, "")
+        assert "overflows double precision" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_zero_norm_integral_exits_4(self, capsys):
         # at m = 300 the ground state peaks at r = 0.55, past the grid
         # [0.0033, 0.3], where every Simpson sample of |R|^2 underflows to 0

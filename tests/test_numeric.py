@@ -11,8 +11,9 @@ from scipy.sparse import diags
 from scipy.special import kv
 
 from anharm2d import numeric
-from anharm2d.closed_form import PotentialParams, excited_solve, radial_eval
+from anharm2d.closed_form import Level, PotentialParams, excited_solve, radial_eval
 from anharm2d.numeric import (
+    QUAD_SAMPLED,
     ConvergenceError,
     DiscreteHamiltonian,
     RadialGrid,
@@ -332,6 +333,23 @@ class TestEigensolver:
             v, _, _ = numeric._twisted_rayleigh(ham, sigma)
             assert sum(twists[-1]) <= 1.3 * ham.n
             assert node_count(v) == nodes
+
+    @pytest.mark.parametrize("wall", [False, True])
+    def test_twist_vector_is_signed_by_its_first_nonzero_entry(self, wall):
+        # the sign comes from z[0] unless z[0] underflowed to 0, as it does
+        # behind a steep inner wall, where the first nonzero entry is sought;
+        # either way it is the sign the search alone gave.  The excited
+        # vector is negated, the ground vector is not
+        ham = sec3_hamiltonian(1000)
+        if wall:
+            diag = ham.diag.copy()
+            diag[:60] += 1e8 * abs(ham.offdiag)
+            ham = DiscreteHamiltonian(diag=diag, offdiag=ham.offdiag)
+        for sigma in library_pair(ham):
+            v, _, _ = numeric._twisted_rayleigh(ham, sigma)
+            first = np.flatnonzero(v)[0]
+            assert (first > 0) == wall
+            assert v[first] > 0.0
 
     @pytest.mark.parametrize("n", [1000, 64000])
     def test_twist_residual_is_the_vectors_own(self, sec3, n):
@@ -790,6 +808,14 @@ class TestVerify:
         assert report.norm_constants == tuple(
             normalization_constant(state, grid) for state in (sec3.ground, sec3.excited)
         )
+
+    def test_each_state_is_evaluated_once(self, monkeypatch):
+        # the two norm integrals and the cross integral share one sampling of
+        # each state at quadrature's first 1025 points; each sampled anew, they
+        # evaluated the states four times
+        calls = spy(monkeypatch, "radial_eval", lambda state, r: (state.level, len(r)))
+        verify(1.0, 0, 1000)
+        assert calls == [(Level.GROUND, QUAD_SAMPLED + 1), (Level.EXCITED, QUAD_SAMPLED + 1)]
 
     def test_report_dict_fields(self):
         report = verify(1.0, 0, 1000)

@@ -1,6 +1,9 @@
 import importlib.util
+import json
 from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 from anharm2d.cli import EXIT_OK, EXIT_VERIFY_FAILED
 
@@ -39,3 +42,32 @@ class TestEmitWavefunctionCurves:
             assert lines[0] == "r,R"
             assert len(lines) == 51
         assert capsys.readouterr().out.count("wrote ") == 2
+
+
+class TestBench:
+    @pytest.mark.parametrize("failing", [None, ("fine", 1, "parent"), ("sweep", 2, "change")])
+    def test_pairs_with_failed_operations_are_left_out(self, monkeypatch, tmp_path, failing):
+        # a run that exits 0 but reports failed operations leaves its pair
+        # out of every metric's comparison, is counted, and fails the script
+        monkeypatch.syspath_prepend(str(SCRIPTS))
+        bench = load_script("bench")
+        monkeypatch.setattr(bench, "unpack", lambda rev, dest: None)
+        monkeypatch.setattr(bench, "perfbench_files", lambda tree: {})
+
+        def run(tree, workload, seed, seconds, trace):
+            side = "change" if tree == bench.ROOT else "parent"
+            failed = int((workload, seed - bench.PAIR_SEED, side) == failing and not trace)
+            value = 2.0 if side == "parent" else 1.0
+            return {"exit": 0, "correct": not failed, "attempted": 4, "failed": failed, "report": [],
+                    "metrics": {name: {"value": value} for name in ("setup_s", "command_s", "points_per_s")}}
+
+        monkeypatch.setattr(bench, "run", run)
+        code = bench.main(["--pairs", "3", "--seconds", "1", "--label", "t", "--out-dir", str(tmp_path)])
+        record = json.loads((tmp_path / "BENCH_t.json").read_text())
+        assert code == (0 if failing is None else 1)
+        for workload, entry in record["workloads"].items():
+            left_out = int(failing is not None and workload == failing[0])
+            assert entry["pairs_with_failed_operations"] == left_out
+            for metric in entry["metrics"].values():
+                assert metric["pairs"] == 3 - left_out
+                assert len(metric["change"]["values"]) == 3 - left_out
