@@ -1,7 +1,7 @@
 """Exact and numerical bound states of the 2D anharmonic potential a r^2 + b r^-4 + c r^-6.
 
-The package namespace holds what the command line and the scripts use; the
-rest of the API is in anharm2d.closed_form and anharm2d.numeric.
+The package namespace holds the public API; everything else is imported
+from anharm2d.closed_form and anharm2d.numeric.
 """
 
 from anharm2d.closed_form import (

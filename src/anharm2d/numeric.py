@@ -7,7 +7,8 @@ where it is done: lowest_eigenvalues (the residual certificate, the
 predicted path, the bisection tiers), _twisted_rayleigh (the Rayleigh step,
 its window and its residual), sturm_count (the turning-point cut),
 _ladder (the ladder of grids, the predictions, the guides), quadrature
-(the 1025-point sampling) and verify (the report and when it fails).
+(the 1025-point sampling), _norm_integral (the tails an interval cuts off)
+and verify (the report and when it fails).
 """
 
 from __future__ import annotations
@@ -416,17 +417,48 @@ def quadrature(f, grid: RadialGrid, abs_tol: float = 0.0) -> float:
 
 def _norm_integral(state: ClosedFormState, grid: RadialGrid, R=None) -> float:
     """Integral of |R|^2 dr over the grid's interval, R the callable of r given
-    or radial_eval(state, r).  Raises ConvergenceError unless it is finite
-    and > 0, as it is not when the interval misses the state."""
+    or radial_eval(state, r).  Raises ConvergenceError when it is not finite
+    and > 0, as when the interval misses the state, and when the interval
+    cuts the state: when the tails past its ends, estimated from
+    quadrature's first-level samples (_dropped_tail), exceed QUAD_REL_TOL of
+    the integral."""
     R = R or partial(radial_eval, state)
+    first = []
+
+    def integrand(r):
+        y = R(r) ** 2
+        if not first:  # quadrature's first call: QUAD_SAMPLED intervals
+            first.append(y)
+        return y
+
     with np.errstate(over="ignore"):  # an overflowing square gives inf, reported below
-        integral = quadrature(lambda r: R(r) ** 2, grid)
+        integral = quadrature(integrand, grid)
+    interval = f"[{grid.r_min:.6g}, {grid.r_max:.6g}]"
     if not (math.isfinite(integral) and integral > 0.0):
         raise ConvergenceError(
-            f"norm integral of the {state.level.value} state on [{grid.r_min:.6g}, "
-            f"{grid.r_max:.6g}] is {integral}; it must be finite and > 0"
+            f"norm integral of the {state.level.value} state on {interval} is {integral}; "
+            "it must be finite and > 0"
+        )
+    y, h = first[0], (grid.r_max - grid.r_min) / QUAD_SAMPLED
+    share = (_dropped_tail(y[0], y[1], h) + _dropped_tail(y[-1], y[-2], h)) / integral
+    if not share <= QUAD_REL_TOL:
+        raise ConvergenceError(
+            f"the interval {interval} cuts the {state.level.value} state: an estimated "
+            f"{share:.2g} of its norm integral lies past the ends, over the bound {QUAD_REL_TOL:g}"
         )
     return integral
+
+
+def _dropped_tail(y_end: float, y_in: float, h: float) -> float:
+    """The integral past an end of the interval of an integrand sampled y_end
+    there and y_in one step h inward, if it decays on exponentially at the
+    rate between the two: y_end h / ln(y_in / y_end).  Infinite if the
+    integrand does not fall toward the end."""
+    if y_end == 0.0:
+        return 0.0
+    fall = math.log(y_in) - math.log(y_end) if y_in > y_end else 0.0
+    # in Python floats, a quotient too large for a double is inf, not a warning
+    return float(y_end) * h / fall if fall > 0.0 else math.inf
 
 
 def normalization_constant(state: ClosedFormState, grid: RadialGrid) -> float:
@@ -474,21 +506,21 @@ def _extrapolate(hs, values, h):
     return values[0]
 
 
-def _ladder(params: PotentialParams, m: int, k: int, n_list):
+def _ladder(params: PotentialParams, m: int, k: int, n: int):
     """Every grid of the ladder, coarsest first, and its k lowest eigenpairs.
 
-    The ladder is scout grids of n_list[0] // 4^j points, j = 1, 2, ..., each
-    of at least MIN_GRID_POINTS, then the ascending n_list.  The first grid
+    The ladder is the grids of n // 4^j points, j = ..., 2, 1, down to the
+    last of at least MIN_GRID_POINTS, then n // 2 and n.  The first grid
     solved, under 64 points when there is a ladder, is bisected.  Every later
     one is given predictions: _extrapolate through the last three grids
     (fewer while fewer exist), whose quadratic in h^2 also cancels the h^4
     term, so on larger grids a prediction misses by less than the rounding
     floor and one Rayleigh step settles it; and guides, the previous grid's
     eigenvectors, which window those steps (lowest_eigenvalues)."""
-    scouts = []
-    while (rung := n_list[0] // 4 ** (len(scouts) + 1)) >= MIN_GRID_POINTS:
-        scouts.insert(0, rung)
-    grids = [build_grid(params, n) for n in [*scouts, *n_list]]
+    sizes = [n // 4, n // 2, n]
+    while (rung := sizes[0] // 4) >= MIN_GRID_POINTS:
+        sizes.insert(0, rung)
+    grids = [build_grid(params, size) for size in sizes]
     # the finest operator first, so a grid too large to allocate fails at
     # once instead of after every rung below it
     finest = assemble(params, m, grids[-1])
@@ -545,7 +577,7 @@ def verify(a: float, m: int, n: int = 4000) -> VerificationReport:
                          f"(its coarsest grid has n // 4), got {n}")
     joint = excited_solve(a, m)
     exact = (joint.ground.energy, joint.excited.energy)
-    grids, spectra = _ladder(joint.params, m, len(exact), [n // 4, n // 2, n])
+    grids, spectra = _ladder(joint.params, m, len(exact), n)
     hs = np.array([g.h for g in grids[-3:]])
     errs = np.abs(np.array([s.eigenvalues for s in spectra[-3:]]) - np.array(exact)).T
     order = _order(hs, errs[0])

@@ -152,7 +152,7 @@ def solved_ladder(a: float, m: int, n: int) -> list:
     """(ham, SpectrumResult) of every grid verify(a, m, n) solves, coarsest
     first, each ham rebuilt with assemble for the library reference."""
     params = excited_solve(a, m).params
-    grids, spectra = _ladder(params, m, 2, [n // 4, n // 2, n])
+    grids, spectra = _ladder(params, m, 2, n)
     return [(assemble(params, m, grid), spectrum) for grid, spectrum in zip(grids, spectra)]
 
 
@@ -791,7 +791,7 @@ class TestVerify:
         # scouts of n/16, n/64, ... points precede the reported grids, each
         # only where it has the 16 points a grid needs
         params = excited_solve(a, m).params
-        ladder, _ = _ladder(params, m, 2, [n // 4, n // 2, n])
+        ladder, _ = _ladder(params, m, 2, n)
         assert [grid.n for grid in ladder] == grids
         report = verify(a, m, n)
         assert report.passed

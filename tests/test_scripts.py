@@ -44,6 +44,14 @@ class TestEmitWavefunctionCurves:
         assert capsys.readouterr().out.count("wrote ") == 2
 
 
+class TestSameOutputs:
+    def test_commands_hold_every_outcome(self):
+        # the table that tests/test_cli.py asserts is compared with REV too
+        script = load_script("same_outputs")
+        commands = script.commands()
+        assert all(list(argv) in commands for _, argv, *_ in script.OUTCOMES)
+
+
 class TestBench:
     @pytest.mark.parametrize("failing", [None, ("fine", 1, "parent"), ("sweep", 2, "change")])
     def test_pairs_with_failed_operations_are_left_out(self, monkeypatch, tmp_path, failing):
