@@ -171,6 +171,19 @@ OUTCOMES = (
     ("TestNormalize::test_interval_cutting_the_state_exits_4[eval-100-MINUS]",
      ("eval", "--normalize", *GROUND_A1_C1, "--m", "100", "--b", "-202.0199990001", "--samples", "3"), 4,
      "cuts the ground state"),
+    # a curve on the default interval gets the same check: at m = 100 it
+    # used to rise to its last sample, 4.6e78 at r_max = 9.49, with exit 0
+    ("TestEval::test_curve_on_a_cutting_interval_exits_4[40-PLUS]",
+     ("eval", *GROUND_A1_C1, "--m", "40", "--b", "78.049984384758", "--samples", "3"), 4, "cuts the ground state"),
+    ("TestEval::test_curve_on_a_cutting_interval_exits_4[40-MINUS]",
+     ("eval", *GROUND_A1_C1, "--m", "40", "--b", "-82.049984384758", "--samples", "3"), 4, "cuts the ground state"),
+    ("TestEval::test_curve_on_a_cutting_interval_exits_4[100-PLUS]",
+     ("eval", *GROUND_A1_C1, "--m", "100", "--b", "198.0199990001", "--samples", "3"), 4, "cuts the ground state"),
+    ("TestEval::test_curve_on_a_cutting_interval_exits_4[100-MINUS]",
+     ("eval", *GROUND_A1_C1, "--m", "100", "--b", "-202.0199990001", "--samples", "3"), 4, "cuts the ground state"),
+    # an explicit interval is the user's choice, and is not checked
+    ("TestEval::test_explicit_interval_is_not_checked",
+     ("eval", *GROUND_A1_C1, "--m", "100", "--b", "198.0199990001", "--r-max", "16", "--samples", "3"), 0, ""),
     # petabytes, past any 64-bit address space: the allocation fails at
     # once, and used to end in a numpy MemoryError traceback
     ("TestMain::test_size_too_large_to_allocate_exits_2[argv0]",

@@ -97,8 +97,13 @@ def cmd_eval(args) -> int:
         raise ValueError("need at least 2 samples")
     r = np.linspace(r_min, r_max, args.samples)
     values = radial_eval(state, r)
-    if args.normalize:
-        values = values * normalization_constant(state, grid)
+    # a curve on the default interval is refused where normalize would be
+    # (exit 4, the interval cuts or misses the state); an explicit --r-min
+    # or --r-max is the user's choice
+    if args.normalize or (args.r_min is None and args.r_max is None):
+        n = normalization_constant(state, grid)
+        if args.normalize:
+            values = values * n
     rows = np.column_stack((r, values)).ravel()  # r_0, R_0, r_1, R_1, ...
     _write_text(args.out, "r,R\n" + "%.9g,%.9g\n" * args.samples % tuple(rows.tolist()))
     return EXIT_OK

@@ -67,9 +67,23 @@ class PotentialParams:
             raise ValueError(f"r^-6 coefficient c must be > 0, got {self.c}")
 
     def evaluate(self, r):
-        """V(r) for r > 0 (scalar or array)."""
+        """V(r) for r > 0 (scalar or array), a new array for an array r.
+        r^-4 and r^-6 are u^2 and u^2 u from the one reciprocal u = (1/r)^2,
+        which overflows to inf rather than dividing by an underflowed r^2.
+        The products are taken in place, so that no more than three arrays
+        of len(r) are made."""
         r = _check_positive_radius(r)
-        return self.a * r**2 + self.b * r**-4 + self.c * r**-6
+        u = 1.0 / r
+        u *= u
+        out = r * r
+        out *= self.a
+        v = u * u
+        u *= v  # r^-6
+        v *= self.b
+        out += v
+        u *= self.c
+        out += u
+        return out
 
 
 def centrifugal_coefficient(m: int) -> float:

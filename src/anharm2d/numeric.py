@@ -5,9 +5,9 @@ differences on the grid of build_grid, and the low spectrum is extracted
 from scratch, with no library eigensolver.  Each mechanism is told once,
 where it is done: lowest_eigenvalues (the residual certificate, the
 predicted path, the bisection tiers), _twisted_rayleigh (the Rayleigh step,
-its window and its residual), sturm_count (the turning-point cut),
-_ladder (the ladder of grids, the predictions, the guides), quadrature
-(the 1025-point sampling), _norm_integral (the tails an interval cuts off)
+its window and its residual), sturm_count (the turning-point cut), _ladder
+(the ladder of grids, the predictions, the guides), quadrature (the
+trapezoid rule in ln r), _norm_integral (the tails an interval cuts off)
 and verify (the report and when it fails).
 """
 
@@ -31,9 +31,9 @@ from anharm2d.closed_form import (
 TAIL_THRESHOLD = 45.0  # T: build_grid cuts both tails of the states at exp(-T)
 MIN_GRID_POINTS = 16  # fewest interior points a RadialGrid accepts
 NODE_REL_FLOOR = 1e-12  # node_count ignores entries below this fraction of max|v|
-QUAD_REL_TOL = 1e-10  # quadrature stops when two doublings agree to this
-QUAD_MAX_DOUBLINGS = 20
-QUAD_SAMPLED = 1024  # intervals sampled by quadrature's first call of the integrand
+QUAD_REL_TOL = 1e-10  # quadrature stops when two levels agree to this
+QUAD_INTERVALS = 128  # intervals in ln r of quadrature's first level
+QUAD_MAX_DOUBLINGS = 9  # so at most 65536 intervals
 RAYLEIGH_STEPS = 6  # most Rayleigh steps per start; a start tens of percent off needs several
 
 
@@ -61,7 +61,10 @@ class RadialGrid:
         return (self.r_max - self.r_min) / (self.n + 1)
 
     def points(self) -> np.ndarray:
-        return self.r_min + self.h * np.arange(1, self.n + 1)
+        r = np.arange(1.0, self.n + 1)  # exact integers, so r_min + h * i as ever
+        r *= self.h
+        r += self.r_min
+        return r
 
 
 def build_grid(params: PotentialParams, n: int) -> RadialGrid:
@@ -97,12 +100,6 @@ class DiscreteHamiltonian:
         pivmin = np.finfo(float).tiny * max(1.0, e2)  # as LAPACK dstebz
         return self.diag.tolist(), e2, pivmin
 
-    @cached_property
-    def _tail_min(self) -> np.ndarray:
-        """min(diag[i:]) for each i, nondecreasing: where a shift's classically
-        forbidden outer region begins."""
-        return np.minimum.accumulate(self.diag[::-1])[::-1]
-
 
 def assemble(params: PotentialParams, m: int, grid: RadialGrid) -> DiscreteHamiltonian:
     """Three-point stencil (-v[i-1] + 2 v[i] - v[i+1])/h^2 + W(r_i) v[i]
@@ -111,7 +108,13 @@ def assemble(params: PotentialParams, m: int, grid: RadialGrid) -> DiscreteHamil
     r = grid.points()
     h = grid.h
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN, caught below
-        diag = 2.0 / h**2 + params.evaluate(r) + centrifugal_coefficient(m) / r**2
+        # each term is added in place, the last one made in r itself: at
+        # n = 64000 a new array costs more than the arithmetic done in it
+        diag = params.evaluate(r)
+        diag += 2.0 / h**2
+        r *= r
+        np.divide(centrifugal_coefficient(m), r, out=r)
+        diag += r
     if not np.all(np.isfinite(diag)):
         raise ConvergenceError("the discretized operator overflows double precision")
     return DiscreteHamiltonian(diag=diag, offdiag=-1.0 / h**2)
@@ -155,17 +158,26 @@ def _pivots(d: list, e2: float, lam: float, pivmin: float) -> np.ndarray:
     return pivots
 
 
+def _turning_point(ham: DiscreteHamiltonian, lam: float) -> int:
+    """The outer turning point i* of the shift lam: the first index with
+    d_i - lam >= 2|e| for every i >= i*, found by one comparison pass as one
+    past the last index below; 0 when no index is below."""
+    below = ham.diag < lam + 2.0 * abs(ham.offdiag)
+    last = int(below[::-1].argmax())  # 0 both when d_(n-1) is below and when none is
+    return ham.n - last if below[-1 - last] else 0
+
+
 def sturm_count(ham: DiscreteHamiltonian, lam: float) -> int:
     """Number of eigenvalues strictly below lam (Sturm sequence count): the
     negative pivots of the forward sweep of _pivots, counted here.
 
-    The sweep stops at the outer turning point i*, the first index with
-    d_i - lam >= 2|e| for every i >= i*.  If the pivot before it is >= |e|,
-    each later pivot is >= 2|e| - e^2/|e| = |e| > 0, so none of them counts
-    and the count is exact; otherwise the whole grid is swept."""
+    The sweep stops at the outer turning point i* (_turning_point).  If the
+    pivot before it is >= |e|, each later pivot is >= 2|e| - e^2/|e| = |e|
+    > 0, so none of them counts and the count is exact; otherwise, and when
+    i* is 0 or n, the whole grid is swept."""
     d, e2, pivmin = ham._recurrence
     e = abs(ham.offdiag)
-    cut = int(ham._tail_min.searchsorted(lam + 2.0 * e))
+    cut = _turning_point(ham, lam)
     pivots = _pivots(d[:cut], e2, lam, pivmin) if 0 < cut < ham.n else None
     if pivots is None or not pivots[-1] >= e:
         pivots = _pivots(d, e2, lam, pivmin)
@@ -223,8 +235,10 @@ def _twisted_rayleigh(ham: DiscreteHamiltonian, sigma: float, window=None):
     r = lo + int(abs(gamma).argmin())
     z = np.zeros(ham.n)
     z[r] = 1.0
-    (-ham.offdiag / fwd[:r][::-1]).cumprod(out=z[:r][::-1])
-    (-ham.offdiag / bwd[r + 1 - lo:]).cumprod(out=z[r + 1:stop])
+    # each half is written in place: its ratios -e/D, then their running products
+    for half, pivots in ((z[:r][::-1], fwd[:r][::-1]), (z[r + 1:stop], bwd[r + 1 - lo:])):
+        np.divide(-ham.offdiag, pivots, out=half)
+        np.multiply.accumulate(half, out=half)
     norm2 = float(z @ z)
     norm = math.sqrt(norm2)
     gamma_r = float(gamma[r - lo])
@@ -381,70 +395,94 @@ def node_count(v: np.ndarray) -> int:
     return int(np.count_nonzero(negative[:-1] != negative[1:]))
 
 
-def _simpson(y: np.ndarray, h: float) -> float:
-    """Composite Simpson sum of the samples y, spaced h apart."""
-    return h / 3.0 * float(y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
+def _log_step(grid: RadialGrid, intervals: int) -> float:
+    """h = (ln r_max - ln r_min) / intervals, the step in s = ln r."""
+    return (math.log(grid.r_max) - math.log(grid.r_min)) / intervals
+
+
+def _log_points(grid: RadialGrid, intervals: int) -> np.ndarray:
+    """The intervals + 1 radii exp(ln r_min + i h), i = 0 .. intervals, h
+    from _log_step.  Every second point of a level is the level of half as
+    many intervals, bit for bit: (2i) h = i (2h) exactly."""
+    s = np.arange(intervals + 1.0)  # exact integers
+    s *= _log_step(grid, intervals)
+    s += math.log(grid.r_min)
+    return np.exp(s, out=s)
+
+
+def _trapezoid(g: np.ndarray, h: float) -> float:
+    """Trapezoid sum of the samples g, spaced h apart; the ends are added, never
+    subtracted, so an infinite sample gives inf, not NaN."""
+    return h * float(0.5 * (g[0] + g[-1]) + np.add.reduce(g[1:-1]))
 
 
 def quadrature(f, grid: RadialGrid, abs_tol: float = 0.0) -> float:
-    """Composite Simpson over [r_min, r_max], doubling the resolution from
-    16 intervals until two successive estimates agree to QUAD_REL_TOL
-    (relative) or abs_tol, the floor for integrals that cancel to (near)
-    zero, or returning the first estimate that is not finite: a non-finite
-    sample stays in every finer level.
+    """Integral of f(r) dr over [r_min, r_max] by the trapezoid rule in
+    s = ln r, the integral of f(e^s) e^s ds.  For integrands that are smooth
+    and decay steeply at both ends, as the states' |R|^2 do, the trapezoid
+    rule converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014),
+    and in ln r the inner tail exp(-sqrt(c)/r^2) is a smooth one.
 
-    f is called once on QUAD_SAMPLED + 1 = 1025 equispaced points, and the
-    levels up to 1024 intervals are strided views of those samples; the
-    call, not the points, is what costs.  linspace(a, b, 1025)[::64] equals
-    linspace(a, b, 17) bit for bit, so every estimate is that of sampling
-    each level afresh.  Each later doubling calls f on its own linspace.
+    f is called on the QUAD_INTERVALS + 1 = 129 points of the first level
+    (_log_points), whose estimate is compared with the one from every second
+    sample, the level of half as many intervals: those are its points bit
+    for bit, so that estimate is that of sampling it afresh.  It returns
+    when two levels agree to QUAD_REL_TOL (relative) or abs_tol, the floor
+    for integrals that cancel to (near) zero, and returns the first estimate
+    that is not finite: a non-finite sample stays in every finer level.
+    Otherwise it doubles the intervals, calling f on the points of each new
+    level, at most QUAD_MAX_DOUBLINGS times.
     """
-    a, b = grid.r_min, grid.r_max
-    y = np.asarray(f(np.linspace(a, b, QUAD_SAMPLED + 1)), dtype=float)
-    intervals, prev = 16, None
+    intervals, prev = QUAD_INTERVALS, None
     for _ in range(QUAD_MAX_DOUBLINGS + 1):
-        h = (b - a) / intervals
-        if intervals > len(y) - 1:
-            y = np.asarray(f(np.linspace(a, b, intervals + 1)), dtype=float)
-        cur = _simpson(y[:: (len(y) - 1) // intervals], h)
-        if not math.isfinite(cur) or (
-            prev is not None and abs(cur - prev) <= max(QUAD_REL_TOL * max(abs(cur), abs(prev)), abs_tol)
-        ):
+        r = _log_points(grid, intervals)
+        g = np.asarray(f(r), dtype=float) * r
+        h = _log_step(grid, intervals)
+        cur = _trapezoid(g, h)
+        if not math.isfinite(cur):
+            return cur
+        if prev is None:
+            prev = _trapezoid(g[::2], 2.0 * h)
+        if abs(cur - prev) <= max(QUAD_REL_TOL * max(abs(cur), abs(prev)), abs_tol):
             return cur
         intervals, prev = 2 * intervals, cur
-    raise ConvergenceError("Simpson quadrature did not converge")
+    raise ConvergenceError("trapezoid quadrature in ln r did not converge")
 
 
 def _norm_integral(state: ClosedFormState, grid: RadialGrid, R=None) -> float:
     """Integral of |R|^2 dr over the grid's interval, R the callable of r given
-    or radial_eval(state, r).  Raises ConvergenceError when it is not finite
-    and > 0, as when the interval misses the state, and when the interval
-    cuts the state: when the tails past its ends, estimated from
-    quadrature's first-level samples (_dropped_tail), exceed QUAD_REL_TOL of
-    the integral."""
+    or radial_eval(state, r).  Raises ConvergenceError when the interval cuts
+    the state, checked on quadrature's first level before any doubling: when
+    the tails past its ends, estimated from its samples of |R|^2 r in ln r
+    (_dropped_tail), exceed QUAD_REL_TOL of its estimate of the integral.
+    Raises it too when the integral is not finite and > 0, as when the
+    interval misses the state; then the first level is not checked."""
     R = R or partial(radial_eval, state)
-    first = []
+    interval = f"[{grid.r_min:.6g}, {grid.r_max:.6g}]"
+    checked = []
 
     def integrand(r):
         y = R(r) ** 2
-        if not first:  # quadrature's first call: QUAD_SAMPLED intervals
-            first.append(y)
+        if not checked:  # quadrature's first call: QUAD_INTERVALS intervals
+            checked.append(True)
+            g, h = y * r, _log_step(grid, QUAD_INTERVALS)
+            estimate = _trapezoid(g, h)
+            if math.isfinite(estimate) and estimate > 0.0:
+                share = (_dropped_tail(g[0], g[1], h) + _dropped_tail(g[-1], g[-2], h)) / estimate
+                if not share <= QUAD_REL_TOL:
+                    raise ConvergenceError(
+                        f"the interval {interval} cuts the {state.level.value} state: an estimated "
+                        f"{share:.2g} of its norm integral lies past the ends, over the bound "
+                        f"{QUAD_REL_TOL:g}"
+                    )
         return y
 
     with np.errstate(over="ignore"):  # an overflowing square gives inf, reported below
         integral = quadrature(integrand, grid)
-    interval = f"[{grid.r_min:.6g}, {grid.r_max:.6g}]"
     if not (math.isfinite(integral) and integral > 0.0):
         raise ConvergenceError(
             f"norm integral of the {state.level.value} state on {interval} is {integral}; "
             "it must be finite and > 0"
-        )
-    y, h = first[0], (grid.r_max - grid.r_min) / QUAD_SAMPLED
-    share = (_dropped_tail(y[0], y[1], h) + _dropped_tail(y[-1], y[-2], h)) / integral
-    if not share <= QUAD_REL_TOL:
-        raise ConvergenceError(
-            f"the interval {interval} cuts the {state.level.value} state: an estimated "
-            f"{share:.2g} of its norm integral lies past the ends, over the bound {QUAD_REL_TOL:g}"
         )
     return integral
 
@@ -473,7 +511,8 @@ def overlap(s1: ClosedFormState, s2: ClosedFormState, grid: RadialGrid) -> float
 
 def _sampled(state: ClosedFormState, r0: np.ndarray):
     """radial_eval(state, r), evaluated once at r0 and given again for any r
-    of as many points: quadrature's first level is always the same r0."""
+    of as many points: quadrature's first level is always the same r0, and
+    every later level has more points."""
     y = radial_eval(state, r0)
     return lambda r: y if len(r) == len(r0) else radial_eval(state, r)
 
@@ -483,7 +522,7 @@ def _cosine(s1: ClosedFormState, s2: ClosedFormState, grid: RadialGrid):
     is evaluated once at quadrature's first-level points, which its norm
     integral and the cross integral share; a doubling past them evaluates
     its own points."""
-    r0 = np.linspace(grid.r_min, grid.r_max, QUAD_SAMPLED + 1)
+    r0 = _log_points(grid, QUAD_INTERVALS)
     R1, R2 = _sampled(s1, r0), _sampled(s2, r0)
     i1, i2 = _norm_integral(s1, grid, R1), _norm_integral(s2, grid, R2)
     scale = math.sqrt(i1 * i2)
@@ -536,8 +575,11 @@ def _ladder(params: PotentialParams, m: int, k: int, n: int):
 
 
 def _order(hs: np.ndarray, errs: np.ndarray) -> float:
-    """Least-squares slope of log(err) against log(h)."""
-    return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
+    """Least-squares slope of log(err) against log(h), in closed form:
+    sum(x y) / sum(x x) with x = log(h) - mean(log(h)), y = log(err)."""
+    x = np.log(hs)
+    x -= x.mean()
+    return float(x @ np.log(errs) / (x @ x))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from anharm2d import cli
+from anharm2d import cli, numeric
 from anharm2d.closed_form import (
     Level,
     PotentialParams,
@@ -162,6 +162,18 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--a", "1", "--m", "0", "--grid-n", "1000")
         assert code == 5
         assert json.loads(out)["passed"] is False
+
+    @pytest.mark.parametrize("overlap, code", [(5e-9, 0), (2e-8, 5), (-2e-8, 5)])
+    def test_overlap_gate(self, capsys, monkeypatch, overlap, code):
+        # |overlap_01| <= 1e-8 is a gate of its own: a report whose only
+        # fault is an overlap over it fails, with exit 5
+        real = numeric._cosine
+        monkeypatch.setattr(numeric, "_cosine", lambda *args: (overlap, *real(*args)[1:]))
+        report = numeric.verify(1.0, 0, 256)
+        assert (report.overlap_01, report.passed) == (overlap, code == 0)
+        code_got, out, _ = run(capsys, "verify", "--a", "1", "--m", "0", "--grid-n", "256")
+        assert code_got == code
+        assert json.loads(out)["passed"] is (code == 0)
 
     def test_convergence_failure_exits_4(self, capsys, monkeypatch):
         def broken(a, m, n):

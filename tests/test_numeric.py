@@ -13,7 +13,7 @@ from scipy.special import kv
 from anharm2d import numeric
 from anharm2d.closed_form import Level, PotentialParams, excited_solve, radial_eval
 from anharm2d.numeric import (
-    QUAD_SAMPLED,
+    QUAD_INTERVALS,
     ConvergenceError,
     DiscreteHamiltonian,
     RadialGrid,
@@ -252,6 +252,32 @@ class TestEigensolver:
             branches.add("cut" if sweeps[-1] < n else "fallback" if len(sweeps) == 2 else "full")
         assert {"cut", "fallback"} <= branches
 
+    @pytest.mark.parametrize("stencil", ["sec3", "first-rung", "inner-wall"])
+    def test_turning_point_is_the_suffix_minimum_cut(self, stencil):
+        # the one comparison pass cuts where searchsorted on the suffix
+        # minima of diag does, which the count used to build for each grid:
+        # on the sec3 stencil, the bisected first rung of verify(1, 0, 4000)
+        # and the sec3 stencil behind a steep inner wall, where diag is not
+        # monotone; shifts from below the Gershgorin interval to above it
+        ham = sec3_hamiltonian(62 if stencil == "first-rung" else 1000)
+        if stencil == "inner-wall":
+            diag = ham.diag.copy()
+            diag[:60] += 1e8 * abs(ham.offdiag)
+            ham = DiscreteHamiltonian(diag=diag, offdiag=ham.offdiag)
+        lo, hi = _gershgorin_bounds(ham)
+        low = eigh_tridiagonal(ham.diag, offdiag_entries(ham), eigvals_only=True)[:8]
+        shifts = [lo - 1.0, *np.linspace(lo, hi, 301), *(low * (1 - 1e-12)), *(low * (1 + 1e-12)),
+                  *(ham.diag - 2.0 * abs(ham.offdiag))[::7]]
+        tail_min = np.minimum.accumulate(ham.diag[::-1])[::-1]
+        d, e2, pivmin = ham._recurrence
+        cuts = set()
+        for x in shifts:
+            cut = numeric._turning_point(ham, x)
+            assert cut == tail_min.searchsorted(x + 2.0 * abs(ham.offdiag)), x
+            assert sturm_count(ham, x) == negatives(_pivots(d, e2, x, pivmin)), x
+            cuts.add(0 if cut == 0 else ham.n if cut == ham.n else "inside")
+        assert cuts == {0, "inside", ham.n}
+
     @pytest.mark.parametrize("tiny_pivot", [None, 0.0, 1e-310])
     @pytest.mark.parametrize("as_shift", [float, np.float64])
     def test_pivots_match_a_guarded_loop_bit_for_bit(self, tiny_pivot, as_shift):
@@ -483,16 +509,22 @@ class TestNodeCount:
             assert node_count(vec) == k
 
 
-def simpson_afresh(f, grid, abs_tol=0.0):
-    """quadrature's doubling with every level sampled on its own linspace:
-    the estimate and the intervals it stopped at."""
-    a, b = grid.r_min, grid.r_max
-    intervals, prev = 16, None
+def trapezoid_afresh(f, grid, abs_tol=0.0):
+    """quadrature's trapezoid rule in s = ln r with every level sampled afresh,
+    at s = ln r_min + i h, the first (128 intervals) compared with 64: the
+    estimate and the intervals it stopped at."""
+    lo, hi = math.log(grid.r_min), math.log(grid.r_max)
+
+    def level(intervals):
+        h = (hi - lo) / intervals
+        r = np.exp(lo + np.arange(intervals + 1) * h)
+        g = np.asarray(f(r), dtype=float) * r
+        return h * float(0.5 * (g[0] + g[-1]) + np.sum(g[1:-1]))
+
+    intervals, prev = 128, level(64)
     while True:
-        y = np.asarray(f(np.linspace(a, b, intervals + 1)), dtype=float)
-        h = (b - a) / intervals
-        cur = h / 3.0 * float(y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2]))
-        if prev is not None and abs(cur - prev) <= max(1e-10 * max(abs(cur), abs(prev)), abs_tol):
+        cur = level(intervals)
+        if abs(cur - prev) <= max(1e-10 * max(abs(cur), abs(prev)), abs_tol):
             return cur, intervals
         intervals, prev = 2 * intervals, cur
 
@@ -503,17 +535,17 @@ class TestQuadrature:
         f = {
             "ground": lambda r: radial_eval(sec3.ground, r) ** 2,
             "excited": lambda r: radial_eval(sec3.excited, r) ** 2,
-            # 0.01 wide on an interval of 9: past QUAD_SAMPLED intervals, so
-            # each later doubling calls it again
+            # 0.01 wide at r = 3, 0.0033 in ln r: past QUAD_INTERVALS
+            # intervals, so each later doubling calls it again
             "narrow": lambda r: np.exp(-(((r - 3.0) / 0.01) ** 2)),
         }[integrand]
         calls = []
         got = quadrature(lambda r: calls.append(len(r)) or f(r), sec3_grid)
-        want, intervals = simpson_afresh(f, sec3_grid)
+        want, intervals = trapezoid_afresh(f, sec3_grid)
         assert got == want
-        assert calls[0] == numeric.QUAD_SAMPLED + 1
-        assert len(calls) == 1 + max(0, round(math.log2(intervals / numeric.QUAD_SAMPLED)))
-        assert (intervals > numeric.QUAD_SAMPLED) == (integrand == "narrow")
+        doublings = round(math.log2(intervals / QUAD_INTERVALS))
+        assert calls == [QUAD_INTERVALS * 2**j + 1 for j in range(doublings + 1)]
+        assert (intervals > QUAD_INTERVALS) == (integrand == "narrow")
 
     def test_non_finite_estimate_returns_at_once(self, sec3_grid):
         # doubling on, it swept 16 * 2^20 intervals and raised ConvergenceError
@@ -811,11 +843,11 @@ class TestVerify:
 
     def test_each_state_is_evaluated_once(self, monkeypatch):
         # the two norm integrals and the cross integral share one sampling of
-        # each state at quadrature's first 1025 points; each sampled anew, they
+        # each state at quadrature's first 129 points; each sampled anew, they
         # evaluated the states four times
         calls = spy(monkeypatch, "radial_eval", lambda state, r: (state.level, len(r)))
         verify(1.0, 0, 1000)
-        assert calls == [(Level.GROUND, QUAD_SAMPLED + 1), (Level.EXCITED, QUAD_SAMPLED + 1)]
+        assert calls == [(Level.GROUND, QUAD_INTERVALS + 1), (Level.EXCITED, QUAD_INTERVALS + 1)]
 
     def test_report_dict_fields(self):
         report = verify(1.0, 0, 1000)
