@@ -7,7 +7,7 @@ REV (a commit, branch or tag) is unpacked with git archive into a temporary
 directory. One fresh interpreter per tree imports anharm2d from that tree's
 src/ and runs a fixed set of CLI commands in process: solve, eval with and
 without --normalize, normalize and verify over a spread of a (0.25 to 10,
-and 1e-300 to 1e300), m in {0, 1} and verify grids from 64 to 16000 points.
+and 1e-300 to 1e300), m in {0, 1} and verify grids from 64 to 64000 points.
 Then eval and normalize on the paths that sweep misses (few --samples, an
 explicit --r-min/--r-max, explicit --c/--b on both kappa branches), and the
 command of every row of OUTCOMES, the CLI's documented outcomes, which
@@ -26,7 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 A_VALUES = ("0.25", "1", "4", "10", "1e-6", "1e6", "1e-200", "1e200", "1e-300", "1e300")
-VERIFY_N = (64, 65, 257, 1000, 4000, 16000)
+VERIFY_N = (64, 65, 257, 1000, 4000, 16000, 64000)  # from 16000 up, tails are solved by cyclic reduction
 # explicit --c/--b: (a, m) = (1, 0) on the plus and the minus kappa branch,
 # (1, 1) on the plus branch, and the joint states of a = 1e12 and a = 1
 EXPLICIT = (

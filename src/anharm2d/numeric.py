@@ -5,7 +5,8 @@ differences on the grid of build_grid, and the low spectrum is extracted
 from scratch, with no library eigensolver.  Each mechanism is told once,
 where it is done: lowest_eigenvalues (the residual certificate, the
 predicted path, the bisection tiers), _twisted_rayleigh (the Rayleigh step,
-its window and its residual), sturm_count (the turning-point cut), _ladder
+its window, its decaying tail and its residual), _decaying_tail (the
+cyclic reduction), sturm_count (the turning-point cut), _ladder
 (the ladder of grids, the predictions, the guides), quadrature (the
 trapezoid rule in ln r), _norm_integral (the tails an interval cuts off)
 and verify (the report and when it fails).
@@ -35,6 +36,7 @@ QUAD_REL_TOL = 1e-10  # quadrature stops when two levels agree to this
 QUAD_INTERVALS = 128  # intervals in ln r of quadrature's first level
 QUAD_MAX_DOUBLINGS = 9  # so at most 65536 intervals
 RAYLEIGH_STEPS = 6  # most Rayleigh steps per start; a start tens of percent off needs several
+TAIL_SOLVE_ROWS = 4096  # shortest decaying tail solved by cyclic reduction; it wins from ~2000 rows
 
 
 class ConvergenceError(RuntimeError):
@@ -120,19 +122,21 @@ def assemble(params: PotentialParams, m: int, grid: RadialGrid) -> DiscreteHamil
     return DiscreteHamiltonian(diag=diag, offdiag=-1.0 / h**2)
 
 
-def _sweep(d: list, e2: float, lam: float):
-    """The unguarded pivots of _pivots, one per element of d.  A generator
-    function keeps q, lam and e2 in fast locals; a generator expression
-    that binds q would keep them in closure cells, loaded per element."""
-    q = math.inf
+def _sweep(d: list, e2: float, lam: float, q: float = math.inf):
+    """The unguarded pivots of _pivots, one per element of d, after the
+    start pivot q.  A generator function keeps q, lam and e2 in fast locals;
+    a generator expression that binds q would keep them in closure cells,
+    loaded per element."""
     for di in d:
         q = di - lam - e2 / q
         yield q
 
 
-def _pivots(d: list, e2: float, lam: float, pivmin: float) -> np.ndarray:
-    """Pivots q_i = d_i - lam - e2 / q_(i-1), q_0 = inf, of T - lam I = L D L^T;
-    how many are negative is the Sturm count of lam.  A pivot smaller than
+def _pivots(d: list, e2: float, lam: float, pivmin: float, start: float = math.inf) -> np.ndarray:
+    """Pivots q_i = d_i - lam - e2 / q_(i-1), q_0 = start, of T - lam I = L D L^T;
+    how many are negative is the Sturm count of lam.  The default start, inf,
+    begins at a Dirichlet end; a finite one is the pivot of the rows that
+    precede d, eliminated elsewhere (_decaying_tail).  A pivot smaller than
     pivmin in magnitude is replaced by -pivmin, so it counts either way.
 
     The sweep (_sweep) runs unguarded over Python floats, several times
@@ -143,12 +147,12 @@ def _pivots(d: list, e2: float, lam: float, pivmin: float) -> np.ndarray:
     zero pivot raises instead of giving inf."""
     lam = float(lam)
     try:
-        pivots = np.fromiter(_sweep(d, e2, lam), float, len(d))
+        pivots = np.fromiter(_sweep(d, e2, lam, start), float, len(d))
     except ZeroDivisionError:
         pivots = None
     if pivots is None or not abs(pivots).min() >= pivmin:
         guarded = []
-        q = math.inf
+        q = start
         for di in d:
             q = di - lam - e2 / q
             if abs(q) < pivmin:
@@ -191,6 +195,46 @@ def _gershgorin_bounds(ham: DiscreteHamiltonian):
             float(max(inner.max(initial=-math.inf) + 2.0 * e, d[0] + e, d[-1] + e)))
 
 
+def _decaying_tail(b: np.ndarray, e: float) -> tuple[np.ndarray, float]:
+    """y solving M y = |e| e_0, M the symmetric tridiagonal matrix with
+    diagonal b and every off-diagonal entry e, by cyclic (odd-even)
+    reduction; and D-_0 = |e| / y_0, the pivot at row 0 of M's elimination
+    from its last row up, which reduction leaves as row 0's diagonal.
+
+    Past the outer turning point b_i >= 2|e|, so M is a diagonally dominant
+    M-matrix, on which reduction is stable without pivoting (Heller, SIAM J.
+    Numer. Anal. 13, 1976).  Each level eliminates the odd rows: even row i
+    takes b_i - c_(i-1) / b_(i-1) - c_i / b_(i+1), c_i the squared coupling
+    of rows i and i + 1, and couples to row i + 2 by c_i c_(i+1) /
+    b_(i+1)^2.  The couplings start at e^2 rounded as _pivots rounds it, so
+    D-_0 is that of the same matrix as the pivot loop's.  The right-hand
+    side, nonzero only in row 0, is never touched.  Back substitution then
+    gives each odd row y_i = (sqrt(c_(i-1)) y_(i-1) + sqrt(c_i) y_(i+1)) / b_i,
+    every entry positive.  About log2(len(b)) levels of a few array
+    operations each replace len(b) pivots swept one at a time."""
+    levels = []
+    c = np.full(len(b) - 1, e * e)
+    while len(b) > 1:
+        levels.append((b, c))
+        odd = b[1::2]
+        back, on = c[0::2] / odd, c[1::2] / odd[:len(c) // 2]  # each odd row's terms in its neighbours
+        reduced = b[0::2].copy()
+        reduced[:len(odd)] -= back
+        reduced[1:] -= on
+        b, c = reduced, back[:len(on)] * on
+    pivot = float(b[0])
+    y = np.array([abs(e) / pivot])
+    for b, c in reversed(levels):
+        odd, coupling = b[1::2], np.sqrt(c)
+        full = np.empty(len(b))
+        full[0::2] = y
+        spill = coupling[0::2] * y[:len(odd)]
+        spill[:len(c) // 2] += coupling[1::2] * y[1:]
+        np.divide(spill, odd, out=full[1::2])
+        y = full
+    return y, pivot
+
+
 def _twisted_rayleigh(ham: DiscreteHamiltonian, sigma: float, window=None):
     """One Rayleigh-quotient step on the twisted-factorization vector at sigma.
 
@@ -212,6 +256,18 @@ def _twisted_rayleigh(ham: DiscreteHamiltonian, sigma: float, window=None):
     stays a true bound however the window was chosen; a window that cuts
     the vector where it is not small only makes the residual large.
 
+    Past the outer turning point the vector only decays.  When the rows
+    [t, stop), t = max(_turning_point(sigma), hi + 1), number at least
+    TAIL_SOLVE_ROWS, they are not swept: _decaying_tail solves them by
+    cyclic reduction for y = z[t:stop] / z_(t-1) and the pivot D-_t, which
+    seeds the sweep over [lo, t).  Short tails and unwindowed steps stay on
+    the sweep.  The solve leaves w, the computed (T - sigma I) z on its
+    rows, which are neither r nor stop, so (T - sigma I) z = gamma_r e_r + w
+    + e z_(stop-1) e_stop.  Then rho = sigma + (gamma_r + w.z) / |z|^2, and
+    the residual is |g - (g.z / |z|^2) z| / |z|, g that sum, with
+    |g|^2 = gamma_r^2 + |w|^2 + e^2 z_(stop-1)^2: for w = 0, the formulas
+    above.
+
     With no window the backward sweep covers the grid.  Its vector grows
     while |D-_i| < |e|, so it peaks at hi, the last such i (0 if none); the
     forward sweep stops there and r is sought in [0, hi].  On the grids
@@ -225,8 +281,14 @@ def _twisted_rayleigh(ham: DiscreteHamiltonian, sigma: float, window=None):
     d, e2, pivmin = ham._recurrence
     e = abs(ham.offdiag)
     lo, hi, stop = window or (0, None, ham.n)
-    # one reversed slice, d[stop-1] down to d[lo]; bwd is a view, D-_i at bwd[i - lo]
-    bwd = _pivots(d[stop - 1:lo - 1 if lo else None:-1], e2, sigma, pivmin)[::-1]
+    t, start = stop, math.inf  # rows [t, stop), if any, are the decaying tail
+    if window and stop - hi - 1 >= TAIL_SOLVE_ROWS:  # else no tail is long enough: skip the pass
+        cut = max(_turning_point(ham, sigma), hi + 1)
+        if stop - cut >= TAIL_SOLVE_ROWS:
+            t, b = cut, ham.diag[cut:stop] - sigma
+            y, start = _decaying_tail(b, ham.offdiag)
+    # one reversed slice, d[t-1] down to d[lo]; bwd is a view, D-_i at bwd[i - lo]
+    bwd = _pivots(d[t - 1:lo - 1 if lo else None:-1], e2, sigma, pivmin, start)[::-1]
     if window is None:
         grows = (abs(bwd) < e).nonzero()[0]
         hi = int(grows[-1]) if grows.size else 0
@@ -236,19 +298,30 @@ def _twisted_rayleigh(ham: DiscreteHamiltonian, sigma: float, window=None):
     z = np.zeros(ham.n)
     z[r] = 1.0
     # each half is written in place: its ratios -e/D, then their running products
-    for half, pivots in ((z[:r][::-1], fwd[:r][::-1]), (z[r + 1:stop], bwd[r + 1 - lo:])):
+    for half, pivots in ((z[:r][::-1], fwd[:r][::-1]), (z[r + 1:t], bwd[r + 1 - lo:])):
         np.divide(-ham.offdiag, pivots, out=half)
         np.multiply.accumulate(half, out=half)
+    wz = ww = 0.0
+    if t < stop:
+        tail = np.multiply(y, z[t - 1], out=z[t:stop])
+        # w, (T - sigma I) z on the tail's rows: zero but for the solve's rounding
+        w = b * tail
+        w[0] += ham.offdiag * z[t - 1]
+        w[1:] += ham.offdiag * tail[:-1]
+        w[:-1] += ham.offdiag * tail[1:]
+        wz, ww = float(w @ tail), float(w @ w)
     norm2 = float(z @ z)
     norm = math.sqrt(norm2)
     gamma_r = float(gamma[r - lo])
     edge = e * z[stop - 1] if stop < ham.n else 0.0  # (T - sigma I) z at stop
-    res = math.hypot(gamma_r * math.sqrt(1.0 - 1.0 / norm2), edge) / norm
+    gz = gamma_r + wz  # z.g, g = (T - sigma I) z, whose three terms sit on disjoint rows
+    g, along = math.hypot(gamma_r, edge, math.sqrt(ww)), abs(gz) / norm
+    res = math.sqrt(max((g - along) * (g + along), 0.0)) / norm  # |g - (z.g / |z|^2) z| / |z|
     z /= norm
     # z[0], unless it underflowed, is the first nonzero entry
     if (z[0] if abs(z[0]) > 0.0 else z[(abs(z[:r + 1]) > 0.0).argmax()]) < 0.0:
         np.negative(z, out=z)
-    return z, sigma + gamma_r / norm2, res
+    return z, sigma + gz / norm2, res
 
 
 def _window(guide: np.ndarray, n: int) -> tuple[int, int, int]:
@@ -281,10 +354,9 @@ class SpectrumResult:
     eigenvectors: np.ndarray  # shape (k, n)
 
 
-def _certified(pairs, top: float, rounding: float):
+def _certified(pairs, top: float, slack: float):
     """The SpectrumResult of pairs, each (v, rho, res, settled), if they
     pass the certificate of lowest_eigenvalues at top; None otherwise."""
-    slack = 4.0 * rounding
     ends = [end for _, rho, res, _ in pairs for end in (rho - res - slack, rho + res + slack)]
     if not (all(settled for *_, settled in pairs) and all(map(float.__lt__, ends, [*ends[1:], top]))):
         return None
@@ -304,10 +376,11 @@ def lowest_eigenvalues(
     from starting shifts, every returned pair accepted by one certificate.
 
     A refinement steps from its start until a step moves the quotient by at
-    most rounding = eps * max(|lo|, |hi|), lo and hi the Gershgorin ends
-    (it settles), or for RAYLEIGH_STEPS steps; its pair is the last step's
-    vector and quotient.  The certificate (_certified) takes the k pairs and
-    a shift top whose Sturm count is k.  It holds if every refinement
+    most the certificate's slack, 4 rounding, rounding = eps * max(|lo|,
+    |hi|) with lo and hi the Gershgorin ends (it settles), or for
+    RAYLEIGH_STEPS steps; its pair is the last step's vector and quotient.
+    The certificate (_certified) takes the k pairs and a shift top whose
+    Sturm count is k.  It holds if every refinement
     settled and the intervals rho_j -+ (res_j + 4 rounding), res_j the
     residual |T v - rho v|, ascend without overlap and end below top.  Each
     interval holds an eigenvalue (Parlett, The Symmetric Eigenvalue Problem,
@@ -336,15 +409,16 @@ def lowest_eigenvalues(
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
     lo, hi = _gershgorin_bounds(ham)
-    rounding = np.finfo(float).eps * max(abs(lo), abs(hi))  # a Rayleigh step this small ends refinement
+    slack = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi))  # 4 rounding: settles a step, widens a pair
     probes = [(lo, 0), (hi, n)]
 
     def refine(sigma, window=None):
         # Rayleigh-quotient iteration converges cubically; a step whose
-        # correction is already at rounding level made its vector there
+        # correction is already within the certificate's slack made its
+        # vector at rounding level
         for _ in range(RAYLEIGH_STEPS):
             v, rho, res = _twisted_rayleigh(ham, sigma, window)
-            if abs(rho - sigma) <= rounding:
+            if abs(rho - sigma) <= slack:
                 return v, rho, res, True
             sigma = rho
         return v, rho, res, False
@@ -357,7 +431,7 @@ def lowest_eigenvalues(
         if count == k:
             windows = [_window(g, n) for g in guides[:k]]
             pairs = [refine(pj, window) for pj, window in zip(p, windows + [None] * k)]
-            if result := _certified(pairs, top, rounding):
+            if result := _certified(pairs, top, slack):
                 return result
 
     def bracket(j):
@@ -379,7 +453,7 @@ def lowest_eigenvalues(
 
     for narrow in (False, True):
         brackets = [isolate(j, narrow) for j in range(1, k + 1)]
-        if result := _certified([refine(0.5 * (a + b)) for a, b in brackets], brackets[-1][1], rounding):
+        if result := _certified([refine(0.5 * (a + b)) for a, b in brackets], brackets[-1][1], slack):
             return result
     raise ConvergenceError("Rayleigh refinement from the isolating brackets failed the residual certificate")
 

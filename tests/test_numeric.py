@@ -158,9 +158,12 @@ def solved_ladder(a: float, m: int, n: int) -> list:
 
 def record_twist_sweeps(monkeypatch) -> list:
     """Patch numeric so that each _twisted_rayleigh call appends to the
-    returned list the lengths of the _pivots sweeps it made."""
+    returned list the lengths of the _pivots sweeps it made and of the
+    decaying tails it solved, in the order made: every row it touched."""
     twists, real_twisted = [], numeric._twisted_rayleigh
     sizes = spy(monkeypatch, "_pivots", lambda d, *rest: len(d))
+    real_tail = numeric._decaying_tail
+    monkeypatch.setattr(numeric, "_decaying_tail", lambda b, e: sizes.append(len(b)) or real_tail(b, e))
 
     def twisted(ham, sigma, window=None):
         start = len(sizes)
@@ -389,21 +392,78 @@ class TestEigensolver:
             assert res > 1e3 * rounding_floor(ham)
 
     @pytest.mark.parametrize("n", [1000, 64000])
-    def test_guided_twist_residual_includes_the_edge(self, sec3, n):
+    def test_guided_twist_residual_includes_the_edge(self, monkeypatch, sec3, n):
         # windows from the n/4-point grid's vectors end the backward sweep
         # short of the grid, so (T - sigma) z gains e z_(stop-1) at stop; a
-        # guide cut at 1e-3 of its peak makes that edge term count
+        # guide cut at 1e-3 of its peak makes that edge term count.  At
+        # n = 64000 every step solves its tail past the turning point by
+        # cyclic reduction, whose rows add their rounding w to the residual
         ham = sec3_hamiltonian(n)
         guides = coarse_vectors(n // 4)
+        tails = spy(monkeypatch, "_decaying_tail", lambda b, e: len(b))
         for sigma, guide in zip((sec3.ground.energy * 1.01, sec3.excited.energy * 0.99), guides):
             cut = guide * (np.abs(guide) >= 1e-3 * np.max(np.abs(guide)))
             for window in (numeric._window(guide, n), numeric._window(cut, n)):
                 assert window[2] < n
+                tails.clear()
                 v, rho, res = numeric._twisted_rayleigh(ham, sigma, window)
+                lo, hi, stop = window
+                tail = stop - max(numeric._turning_point(ham, sigma), hi + 1)
+                assert tails == ([tail] if n == 64000 else [])
                 assert not np.any(v[window[2]:])
                 direct = float(np.linalg.norm(apply(ham, v) - rho * v))
                 assert res == pytest.approx(direct, rel=1e-6)
                 assert res > 1e3 * rounding_floor(ham)
+
+    @pytest.mark.parametrize("level, factor", [(0, 1.0), (1, 1.0), (0, 1.01), (1, 0.99)])
+    def test_tail_solve_matches_the_loop(self, level, factor):
+        # from the turning point to the guided stop of a 64000-point step,
+        # at the converged shifts and off them, cyclic reduction solves the
+        # rows that the pivot loop, the reference, sweeps.  Both are
+        # backward stable; y_0 is not well conditioned there, where D-/|e|
+        # is 1 + 3e-4, and against a 34-digit sweep the loop's y_0 is off by
+        # 2-5 eps and the solve's by 24-109 eps
+        ham = sec3_hamiltonian(64000)
+        sigma = factor * (library_pair(ham) if factor == 1.0 else (-2.0, 6.0))[level]
+        lo, hi, stop = numeric._window(coarse_vectors(16000)[level], ham.n)
+        t = max(numeric._turning_point(ham, sigma), hi + 1)
+        assert stop - t >= numeric.TAIL_SOLVE_ROWS
+        b = ham.diag[t:stop] - sigma
+        y, pivot = numeric._decaying_tail(b, ham.offdiag)
+        d, e2, pivmin = ham._recurrence
+        loop = _pivots(d[stop - 1:t - 1:-1], e2, sigma, pivmin)[::-1]
+        e = abs(ham.offdiag)
+        ratios = np.cumprod(e / loop)  # the loop's z_i / z_(t-1) over the tail
+        assert pivot == pytest.approx(loop[0], rel=256 * np.finfo(float).eps)
+        assert y[0] == pytest.approx(ratios[0], rel=256 * np.finfo(float).eps)
+        assert np.all(np.abs(y - ratios) <= 1e-10 * ratios)
+        assert ratios[-1] < 1e-12  # the tail decays to the node floor and below
+        rows = b * y  # (T - sigma I) z on the tail, z_(t-1) = 1
+        rows[0] += ham.offdiag
+        rows[1:] += ham.offdiag * y[:-1]
+        rows[:-1] += ham.offdiag * y[1:]
+        assert np.max(np.abs(rows)) <= 1e-13 * e
+
+    def test_a_wrong_tail_only_makes_the_residual_large(self, monkeypatch):
+        # the quotient and the residual carry w, the tail rows' own
+        # residual: with the solve's y made 1e-4 too large, and its pivot
+        # D-_t = |e| / y_0 with it, row t of (T - sigma I) z is
+        # 1e-4 |e| z_(t-1), and both are still those of the returned vector,
+        # as a window that cuts the vector short only makes the residual large
+        ham = sec3_hamiltonian(64000)
+        real_tail = numeric._decaying_tail
+
+        def too_large(b, e):
+            y, pivot = real_tail(b, e)
+            return y * (1.0 + 1e-4), pivot / (1.0 + 1e-4)
+
+        monkeypatch.setattr(numeric, "_decaying_tail", too_large)
+        for sigma, guide in zip(library_pair(ham), coarse_vectors(16000)):
+            v, rho, res = numeric._twisted_rayleigh(ham, sigma, numeric._window(guide, ham.n))
+            hv = apply(ham, v)
+            assert rho == pytest.approx(float(v @ hv), abs=10.0 * rounding_floor(ham))
+            assert res == pytest.approx(float(np.linalg.norm(hv - rho * v)), rel=1e-6)
+            assert res > 1e3 * rounding_floor(ham)
 
     @pytest.mark.parametrize("mislead", ["swapped", "reversed"])
     def test_misleading_guides_give_the_certified_pair(self, mislead):
@@ -738,17 +798,39 @@ class TestVerify:
         # steps stop where the coarser grid's vectors fall below the node
         # floor; full-grid counts and a bisected 2000-point first scout
         # swept 605,528 elements, unguided steps 342,947, a count per
-        # eigenvalue 259,135
+        # eigenvalue 259,135.  Of the 237,361 rows touched, the pivot loop
+        # sweeps 101,062 and cyclic reduction solves the 136,299 of the
+        # long decaying tails; the loop swept them all
         sweeps = spy(monkeypatch, "_pivots", lambda d, *rest: len(d))
+        tails = spy(monkeypatch, "_decaying_tail", lambda b, e: len(b))
         passes = spy(monkeypatch, "sturm_count", lambda h, x: h.n)
         verify(1.0, 0, 64000)
-        assert sum(sweeps) <= 250000
+        assert sum(sweeps) + sum(tails) <= 250000
+        assert sum(sweeps) <= 110000
         assert all(passes.count(n) <= 1 for n in set(passes) - {passes[0]})
+
+    def test_tails_are_solved_only_where_they_are_long(self, monkeypatch):
+        # a guided step solves its decaying tail by cyclic reduction only
+        # when it has TAIL_SOLVE_ROWS rows: at n = 64000 on the 16000-,
+        # 32000- and 64000-point grids, and never on the eight joint
+        # configurations at n = 4000, whose grids have fewer points
+        grids, real_twisted = [], numeric._twisted_rayleigh
+        monkeypatch.setattr(numeric, "_twisted_rayleigh",
+                            lambda ham, *rest: grids.append(ham.n) or real_twisted(ham, *rest))
+        tails = spy(monkeypatch, "_decaying_tail", lambda b, e: (grids[-1], len(b)))
+        assert verify(1.0, 0, 64000).passed
+        assert {n for n, _ in tails} == {16000, 32000, 64000}
+        assert all(rows >= numeric.TAIL_SOLVE_ROWS for _, rows in tails)
+        tails.clear()
+        for a in (0.25, 1.0, 4.0, 10.0):
+            for m in (0, 1):
+                assert verify(a, m, 4000).passed
+        assert tails == []
 
     def test_guided_steps_stop_short_of_the_grid_end(self, monkeypatch):
         # each 64000-point step is guided by the 16000-point vectors and
-        # sweeps up to where they fall below the node floor; sweeping
-        # backward over the whole grid cost 1.08 n and 1.19 n
+        # sweeps or solves up to where they fall below the node floor;
+        # sweeping backward over the whole grid cost 1.08 n and 1.19 n
         twists = record_twist_sweeps(monkeypatch)
         guided = spy(monkeypatch, "_twisted_rayleigh", lambda h, x, window: (h.n, window is not None))
         assert verify(1.0, 0, 64000).passed
@@ -800,6 +882,32 @@ class TestVerify:
         assert verify(1.0, 0, 32000).passed
         assert sum(sizes.count(n) for n in (8000, 16000, 32000)) <= 8
         assert sum(sizes) <= 160000
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_finest_grid_takes_one_step_per_eigenvalue(self, monkeypatch, m):
+        # a step settles within the certificate's slack of 4 rounding; at
+        # m = 1 the ground state's one step on the 4000-point grid moves the
+        # quotient by 1.5 rounding, and settling at 1 rounding took a second
+        sizes = spy(monkeypatch, "_twisted_rayleigh", lambda h, x, window: h.n)
+        assert verify(1.0, m, 4000).passed
+        assert sizes.count(4000) == 2
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_scale_law_holds_across_the_a_axis(self, m):
+        # on the joint line c = ((4 - m^2)/2)^2 / a and the grid's interval
+        # scales as a^(-1/4), so the operator at a is sqrt(a) times the one
+        # at a = 1, up to rounding: energies over sqrt(a) are a = 1's within
+        # its rounding floor, eps * max|Gershgorin end|.  At n = 16000 the
+        # 8000- and 16000-point grids solve their tails by cyclic reduction
+        params = excited_solve(1.0, m).params
+        floor = np.finfo(float).eps * max(map(abs, _gershgorin_bounds(
+            assemble(params, m, build_grid(params, 16000)))))
+        reference = verify(1.0, m, 16000)
+        for a in (1e-200, 1e-6, 1e6, 1e200):
+            report = verify(a, m, 16000)
+            scaled = np.array(report.numeric_energies) / math.sqrt(a)
+            assert np.all(np.abs(scaled - reference.numeric_energies) <= floor), a
+            assert (report.passed, report.node_counts) == (reference.passed, reference.node_counts), a
 
     @pytest.mark.parametrize("a, m", [(1.0, 0), (10.0, 1)])
     def test_every_grid_has_accurate_vectors(self, a, m):
