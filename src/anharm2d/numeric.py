@@ -85,7 +85,8 @@ def build_grid(params: PotentialParams, n: int) -> RadialGrid:
 @dataclass(frozen=True)
 class DiscreteHamiltonian:
     """Symmetric tridiagonal discretization of the radial operator.  The uniform
-    stencil couples every pair of neighbours by one value, the float offdiag = -1/h^2."""
+    stencil couples every pair of neighbours by one value, the float offdiag = -1/h^2;
+    each pivot sweep reads a view of the ndarray diag."""
 
     diag: np.ndarray
     offdiag: float
@@ -95,12 +96,12 @@ class DiscreteHamiltonian:
         return len(self.diag)
 
     @cached_property
-    def _recurrence(self) -> tuple[list, float, float]:
-        """(diag as Python floats, offdiag^2, pivmin), the inputs of every
-        pivot recurrence on this matrix."""
+    def _recurrence(self) -> tuple[np.ndarray, float, float]:
+        """(diag, offdiag^2, pivmin), the inputs of every pivot recurrence on
+        this matrix; diag itself, copied into no list."""
         e2 = self.offdiag * self.offdiag
         pivmin = np.finfo(float).tiny * max(1.0, e2)  # as LAPACK dstebz
-        return self.diag.tolist(), e2, pivmin
+        return self.diag, e2, pivmin
 
 
 def assemble(params: PotentialParams, m: int, grid: RadialGrid) -> DiscreteHamiltonian:
@@ -122,39 +123,40 @@ def assemble(params: PotentialParams, m: int, grid: RadialGrid) -> DiscreteHamil
     return DiscreteHamiltonian(diag=diag, offdiag=-1.0 / h**2)
 
 
-def _sweep(d: list, e2: float, lam: float, q: float = math.inf):
-    """The unguarded pivots of _pivots, one per element of d, after the
-    start pivot q.  A generator function keeps q, lam and e2 in fast locals;
-    a generator expression that binds q would keep them in closure cells,
-    loaded per element."""
-    for di in d:
-        q = di - lam - e2 / q
+def _sweep(shifted: memoryview, e2: float, q: float = math.inf):
+    """The unguarded pivots of _pivots, one per element d_i - lam of
+    shifted, after the start pivot q.  A generator function keeps q and e2
+    in fast locals; a generator expression that binds q would keep them in
+    closure cells, loaded per element."""
+    for ai in shifted:
+        q = ai - e2 / q
         yield q
 
 
-def _pivots(d: list, e2: float, lam: float, pivmin: float, start: float = math.inf) -> np.ndarray:
+def _pivots(d: np.ndarray, e2: float, lam: float, pivmin: float, start: float = math.inf) -> np.ndarray:
     """Pivots q_i = d_i - lam - e2 / q_(i-1), q_0 = start, of T - lam I = L D L^T;
     how many are negative is the Sturm count of lam.  The default start, inf,
     begins at a Dirichlet end; a finite one is the pivot of the rows that
     precede d, eliminated elsewhere (_decaying_tail).  A pivot smaller than
     pivmin in magnitude is replaced by -pivmin, so it counts either way.
 
-    The sweep (_sweep) runs unguarded over Python floats, several times
-    faster than indexing numpy arrays.  Only when it divides by an exact
-    zero, or min|q_i| is not >= pivmin (NaN included), is it redone with the
-    guard on every element; otherwise the guard would not have fired, so the
-    pivots are the same bit for bit.  lam is made a Python float so that a
-    zero pivot raises instead of giving inf."""
-    lam = float(lam)
+    NumPy forms d - lam, the IEEE subtraction the loop would make, and the
+    sweep (_sweep) runs unguarded over a memoryview of it, which builds no
+    list and yields Python floats: they iterate several times faster than
+    numpy scalars, and division by a zero pivot raises instead of giving
+    inf.  Only when it divides by an exact zero, or min|q_i| is not >= pivmin
+    (NaN included), is it redone with the guard on every element; otherwise
+    the guard would not have fired, so the pivots are the same bit for bit."""
+    shifted = memoryview(d - lam)
     try:
-        pivots = np.fromiter(_sweep(d, e2, lam, start), float, len(d))
+        pivots = np.fromiter(_sweep(shifted, e2, start), float, len(shifted))
     except ZeroDivisionError:
         pivots = None
     if pivots is None or not abs(pivots).min() >= pivmin:
         guarded = []
         q = start
-        for di in d:
-            q = di - lam - e2 / q
+        for ai in shifted:
+            q = ai - e2 / q
             if abs(q) < pivmin:
                 q = -pivmin
             guarded.append(q)
@@ -287,7 +289,7 @@ def _twisted_rayleigh(ham: DiscreteHamiltonian, sigma: float, window=None):
         if stop - cut >= TAIL_SOLVE_ROWS:
             t, b = cut, ham.diag[cut:stop] - sigma
             y, start = _decaying_tail(b, ham.offdiag)
-    # one reversed slice, d[t-1] down to d[lo]; bwd is a view, D-_i at bwd[i - lo]
+    # one reversed view, d[t-1] down to d[lo]; bwd is a view too, D-_i at bwd[i - lo]
     bwd = _pivots(d[t - 1:lo - 1 if lo else None:-1], e2, sigma, pivmin, start)[::-1]
     if window is None:
         grows = (abs(bwd) < e).nonzero()[0]

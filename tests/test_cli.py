@@ -11,6 +11,7 @@ from anharm2d.closed_form import (
     PotentialParams,
     SignBranch,
     constrained_state,
+    excited_solve,
     ground_constraint_b,
     radial_eval,
 )
@@ -225,6 +226,23 @@ class TestNormalize:
         kappa = constrained_state(PotentialParams(1.0, b, 1.0), 30, Level.GROUND).kappa
         integral = json.loads(out)["integral"]
         assert integral == pytest.approx(bessel_norm_integral(1.0, 1.0, kappa), rel=1e-10)
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_scale_law_holds_across_the_a_axis(self, capsys, m):
+        # on the joint line R at a is R at a = 1 in x = a^(1/4) r, times
+        # r^kappa's a^(-kappa/4), so N(a) a^(-(2 kappa + 1)/8) is N(1), kappa
+        # each state's own; the worst case here is 5.6e-15 relative
+        def normalized(a, state):
+            code, out, _ = run(capsys, "normalize", "--state", state, "--a", repr(a), "--m", str(m))
+            assert code == 0
+            return json.loads(out)["N"]
+
+        for state in ("ground", "excited"):
+            reference = normalized(1.0, state)
+            for a in (1e-300, 1e-200, 1e-6, 1e6, 1e200, 1e300):
+                kappa = getattr(excited_solve(a, m), state).kappa
+                scaled = normalized(a, state) * a ** (-(2.0 * kappa + 1.0) / 8.0)
+                assert scaled == pytest.approx(reference, rel=64 * np.finfo(float).eps, abs=0.0), (state, a)
 
     def test_quadrature_failure_exits_4(self, capsys, monkeypatch):
         def broken(state, grid):

@@ -118,6 +118,19 @@ def unit_stencil(tiny_pivot: float) -> DiscreteHamiltonian:
     return DiscreteHamiltonian(diag=diag, offdiag=-1.0)
 
 
+def guarded_pivots(d: np.ndarray, e2: float, lam: float, pivmin: float,
+                   start: float = math.inf) -> np.ndarray:
+    """The pivots _pivots returns, by a loop over d as Python floats that
+    replaces every pivot below pivmin in magnitude by -pivmin."""
+    reference, q = [], start
+    for di in d.tolist():
+        q = di - float(lam) - e2 / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        reference.append(q)
+    return np.array(reference)
+
+
 def negatives(pivots: np.ndarray) -> int:
     """How many pivots are negative: the Sturm count of their shift."""
     return int(np.count_nonzero(pivots < 0.0))
@@ -286,8 +299,12 @@ class TestEigensolver:
     def test_pivots_match_a_guarded_loop_bit_for_bit(self, tiny_pivot, as_shift):
         # the sec3 grid, or a 16-point stencil whose pivot at one shift is
         # below pivmin: the second, exactly 0, at shift 1 (2 - 1 - 1/1), or
-        # the first, subnormal, at shift 0 when diag[0] is 1e-310.  The
-        # reference guards every element.
+        # the first, subnormal, at shift 0 when diag[0] is 1e-310.  Rows are
+        # swept as _twisted_rayleigh sweeps them: diag itself; the reversed
+        # view diag[t-1:lo-1:-1], here of the flipped diagonal with t = n and
+        # lo = 1, so that it holds rows 0 .. n-2 in order; and rows 1 .. n-1
+        # from the finite pivot of row 0.  The reference guards every
+        # element of a loop over Python floats
         ham = sec3_hamiltonian(400) if tiny_pivot is None else unit_stencil(tiny_pivot)
         every = eigh_tridiagonal(ham.diag, offdiag_entries(ham), eigvals_only=True)
         low = every[:4]
@@ -295,20 +312,27 @@ class TestEigensolver:
         shifts = [*(low - step), *(low + step), *ham.diag[:3], ham.diag[-1], 0.0, 1.0,
                   *_gershgorin_bounds(ham)]
         d, e2, pivmin = ham._recurrence
+        flipped, t, lo = d[::-1].copy(), ham.n, 1
+
+        def sweeps(x):
+            """(first row, pivots, reference) of each of the three sweeps at x."""
+            seed = float(guarded_pivots(d[:1], e2, x, pivmin)[0])
+            for first, rows, start in ((0, d, math.inf), (0, flipped[t - 1:lo - 1:-1], math.inf),
+                                       (1, d[1:], seed)):
+                yield (first, _pivots(rows, e2, as_shift(x), pivmin, start),
+                       guarded_pivots(rows, e2, x, pivmin, start))
+
         for x in shifts:
-            reference, q = [], math.inf
-            for di in d:
-                q = di - float(x) - e2 / q
-                if abs(q) < pivmin:
-                    q = -pivmin
-                reference.append(q)
-            pivots = _pivots(d, e2, as_shift(x), pivmin)
-            assert pivots.tobytes() == np.array(reference).tobytes(), x
-            assert negatives(pivots) == sum(q < 0.0 for q in reference), x
+            for _, pivots, reference in sweeps(x):
+                assert pivots.tobytes() == reference.tobytes(), x
+                assert negatives(pivots) == negatives(reference), x
         if tiny_pivot is not None:
-            # only the guarded fallback puts -pivmin where the sweep hit 0 or 1e-310
-            at, index = (0.0, 0) if tiny_pivot else (1.0, 1)
-            assert _pivots(d, e2, as_shift(at), pivmin)[index] == -pivmin
+            # only the guarded fallback puts -pivmin where a sweep hit 0 or
+            # 1e-310: row 1 at shift 1 or row 0 at shift 0, which the seeded
+            # sweep begins past
+            at, row = (0.0, 0) if tiny_pivot else (1.0, 1)
+            hits = [pivots[row - first] for first, pivots, _ in sweeps(at) if row >= first]
+            assert hits == [-pivmin] * (3 if row else 2)
 
     @settings(max_examples=60, deadline=None)
     @given(
