@@ -190,6 +190,10 @@ OUTCOMES = (
      ("eval", "--a", "1", "--samples", "1000000000000000"), 2, "Unable to allocate"),
     ("TestMain::test_size_too_large_to_allocate_exits_2[argv1]",
      ("verify", "--a", "1", "--m", "0", "--grid-n", "10000000000000000"), 2, "Unable to allocate"),
+    # numpy's float arange rounds a length near 2^63 to an empty array
+    # instead of raising, and linspace then ended in an IndexError traceback
+    ("TestMain::test_size_too_large_to_allocate_exits_2[argv2]",
+     ("eval", "--a", "1", "--samples", "9223372036854775807"), 2, "too many samples to allocate"),
     # m^2 overflows a float; it used to end in an OverflowError traceback
     ("TestMain::test_m_too_large_for_a_float_exits_2[solve]", ("solve", "--a", "1", "--m", BIG_M), 2, "m^2"),
     ("TestMain::test_m_too_large_for_a_float_exits_2[verify]", ("verify", "--a", "1", "--m", BIG_M), 2, "m^2"),

@@ -95,6 +95,8 @@ def cmd_eval(args) -> int:
         raise ValueError(f"need 0 < r_min < r_max, got [{r_min}, {r_max}]")
     if args.samples < 2:
         raise ValueError("need at least 2 samples")
+    if args.samples > sys.maxsize // 8:  # as in RadialGrid.points; near 2^63 linspace ends in an IndexError
+        raise ValueError(f"too many samples to allocate: {args.samples}")
     r = np.linspace(r_min, r_max, args.samples)
     values = radial_eval(state, r)
     # a curve on the default interval is refused where normalize would be

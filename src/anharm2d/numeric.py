@@ -8,16 +8,17 @@ predicted path, the bisection tiers), _twisted_rayleigh (the Rayleigh step,
 its window, its decaying tail and its residual), _decaying_tail (the
 cyclic reduction), sturm_count (the turning-point cut), _ladder
 (the ladder of grids, the predictions, the guides), quadrature (the
-trapezoid rule in ln r), _norm_integral (the tails an interval cuts off)
-and verify (the report and when it fails).
+trapezoid rule in ln r), _sampled (the tails an interval cuts off) and
+verify (the report and when it fails).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -62,7 +63,15 @@ class RadialGrid:
     def h(self) -> float:
         return (self.r_max - self.r_min) / (self.n + 1)
 
+    # quadrature's first level on this interval, (r, h) of _log_points: built
+    # once for _sampled and every quadrature on the grid, whose integrands only read r
+    _first_level = cached_property(lambda self: _log_points(self, QUAD_INTERVALS))
+
     def points(self) -> np.ndarray:
+        # no more float64s fit in a 64-bit address space, and numpy's float
+        # arange rounds a length near 2^63 to an empty array instead of raising
+        if self.n > sys.maxsize // 8:
+            raise ValueError(f"too many grid points to allocate: {self.n}")
         r = np.arange(1.0, self.n + 1)  # exact integers, so r_min + h * i as ever
         r *= self.h
         r += self.r_min
@@ -95,14 +104,6 @@ class DiscreteHamiltonian:
     def n(self) -> int:
         return len(self.diag)
 
-    @cached_property
-    def _recurrence(self) -> tuple[np.ndarray, float, float]:
-        """(diag, offdiag^2, pivmin), the inputs of every pivot recurrence on
-        this matrix; diag itself, copied into no list."""
-        e2 = self.offdiag * self.offdiag
-        pivmin = np.finfo(float).tiny * max(1.0, e2)  # as LAPACK dstebz
-        return self.diag, e2, pivmin
-
 
 def assemble(params: PotentialParams, m: int, grid: RadialGrid) -> DiscreteHamiltonian:
     """Three-point stencil (-v[i-1] + 2 v[i] - v[i+1])/h^2 + W(r_i) v[i]
@@ -133,12 +134,14 @@ def _sweep(shifted: memoryview, e2: float, q: float = math.inf):
         yield q
 
 
-def _pivots(d: np.ndarray, e2: float, lam: float, pivmin: float, start: float = math.inf) -> np.ndarray:
-    """Pivots q_i = d_i - lam - e2 / q_(i-1), q_0 = start, of T - lam I = L D L^T;
-    how many are negative is the Sturm count of lam.  The default start, inf,
-    begins at a Dirichlet end; a finite one is the pivot of the rows that
-    precede d, eliminated elsewhere (_decaying_tail).  A pivot smaller than
-    pivmin in magnitude is replaced by -pivmin, so it counts either way.
+def _pivots(d: np.ndarray, e: float, lam: float, start: float = math.inf) -> np.ndarray:
+    """Pivots q_i = d_i - lam - e^2 / q_(i-1), q_0 = start, of T - lam I =
+    L D L^T, T with diagonal d and every off-diagonal entry e; how many are
+    negative is the Sturm count of lam.  The default start, inf, begins at a
+    Dirichlet end; a finite one is the pivot of the rows that precede d,
+    eliminated elsewhere (_decaying_tail).  A pivot smaller than pivmin =
+    tiny * max(1, e^2) in magnitude, as in LAPACK's dstebz, is replaced by
+    -pivmin, so it counts either way.
 
     NumPy forms d - lam, the IEEE subtraction the loop would make, and the
     sweep (_sweep) runs unguarded over a memoryview of it, which builds no
@@ -147,6 +150,7 @@ def _pivots(d: np.ndarray, e2: float, lam: float, pivmin: float, start: float = 
     inf.  Only when it divides by an exact zero, or min|q_i| is not >= pivmin
     (NaN included), is it redone with the guard on every element; otherwise
     the guard would not have fired, so the pivots are the same bit for bit."""
+    e2, pivmin = e * e, sys.float_info.min * max(1.0, e * e)
     shifted = memoryview(d - lam)
     try:
         pivots = np.fromiter(_sweep(shifted, e2, start), float, len(shifted))
@@ -181,12 +185,11 @@ def sturm_count(ham: DiscreteHamiltonian, lam: float) -> int:
     pivot before it is >= |e|, each later pivot is >= 2|e| - e^2/|e| = |e|
     > 0, so none of them counts and the count is exact; otherwise, and when
     i* is 0 or n, the whole grid is swept."""
-    d, e2, pivmin = ham._recurrence
-    e = abs(ham.offdiag)
+    d, e = ham.diag, abs(ham.offdiag)
     cut = _turning_point(ham, lam)
-    pivots = _pivots(d[:cut], e2, lam, pivmin) if 0 < cut < ham.n else None
+    pivots = _pivots(d[:cut], e, lam) if 0 < cut < ham.n else None
     if pivots is None or not pivots[-1] >= e:
-        pivots = _pivots(d, e2, lam, pivmin)
+        pivots = _pivots(d, e, lam)
     return int(np.count_nonzero(pivots < 0.0))
 
 
@@ -280,8 +283,7 @@ def _twisted_rayleigh(ham: DiscreteHamiltonian, sigma: float, window=None):
     first nonzero entry, at or before r, is positive (division and negation
     are exact), its Rayleigh quotient and its residual.
     """
-    d, e2, pivmin = ham._recurrence
-    e = abs(ham.offdiag)
+    d, e = ham.diag, abs(ham.offdiag)
     lo, hi, stop = window or (0, None, ham.n)
     t, start = stop, math.inf  # rows [t, stop), if any, are the decaying tail
     if window and stop - hi - 1 >= TAIL_SOLVE_ROWS:  # else no tail is long enough: skip the pass
@@ -290,11 +292,11 @@ def _twisted_rayleigh(ham: DiscreteHamiltonian, sigma: float, window=None):
             t, b = cut, ham.diag[cut:stop] - sigma
             y, start = _decaying_tail(b, ham.offdiag)
     # one reversed view, d[t-1] down to d[lo]; bwd is a view too, D-_i at bwd[i - lo]
-    bwd = _pivots(d[t - 1:lo - 1 if lo else None:-1], e2, sigma, pivmin, start)[::-1]
+    bwd = _pivots(d[t - 1:lo - 1 if lo else None:-1], e, sigma, start)[::-1]
     if window is None:
         grows = (abs(bwd) < e).nonzero()[0]
         hi = int(grows[-1]) if grows.size else 0
-    fwd = _pivots(d[:hi + 1], e2, sigma, pivmin)
+    fwd = _pivots(d[:hi + 1], e, sigma)
     gamma = fwd[lo:] + bwd[:hi + 1 - lo] - (ham.diag[lo:hi + 1] - sigma)
     r = lo + int(abs(gamma).argmin())
     z = np.zeros(ham.n)
@@ -471,19 +473,16 @@ def node_count(v: np.ndarray) -> int:
     return int(np.count_nonzero(negative[:-1] != negative[1:]))
 
 
-def _log_step(grid: RadialGrid, intervals: int) -> float:
-    """h = (ln r_max - ln r_min) / intervals, the step in s = ln r."""
-    return (math.log(grid.r_max) - math.log(grid.r_min)) / intervals
-
-
-def _log_points(grid: RadialGrid, intervals: int) -> np.ndarray:
-    """The intervals + 1 radii exp(ln r_min + i h), i = 0 .. intervals, h
-    from _log_step.  Every second point of a level is the level of half as
-    many intervals, bit for bit: (2i) h = i (2h) exactly."""
+def _log_points(grid: RadialGrid, intervals: int) -> tuple[np.ndarray, float]:
+    """The intervals + 1 radii exp(ln r_min + i h), i = 0 .. intervals, and
+    h = (ln r_max - ln r_min) / intervals, their step in s = ln r.  Every
+    second point of a level is the level of half as many intervals, bit for
+    bit: (2i) h = i (2h) exactly."""
+    h = (math.log(grid.r_max) - math.log(grid.r_min)) / intervals
     s = np.arange(intervals + 1.0)  # exact integers
-    s *= _log_step(grid, intervals)
+    s *= h
     s += math.log(grid.r_min)
-    return np.exp(s, out=s)
+    return np.exp(s, out=s), h
 
 
 def _trapezoid(g: np.ndarray, h: float) -> float:
@@ -500,9 +499,10 @@ def quadrature(f, grid: RadialGrid, abs_tol: float = 0.0) -> float:
     and in ln r the inner tail exp(-sqrt(c)/r^2) is a smooth one.
 
     f is called on the QUAD_INTERVALS + 1 = 129 points of the first level
-    (_log_points), whose estimate is compared with the one from every second
-    sample, the level of half as many intervals: those are its points bit
-    for bit, so that estimate is that of sampling it afresh.  It returns
+    (the grid's _first_level), whose estimate is compared with the one from
+    every second sample, the level of half as many intervals: those are its
+    points bit for bit, so that estimate is that of sampling it afresh (each
+    level from _log_points).  It returns
     when two levels agree to QUAD_REL_TOL (relative) or abs_tol, the floor
     for integrals that cancel to (near) zero, and returns the first estimate
     that is not finite: a non-finite sample stays in every finer level.
@@ -510,10 +510,9 @@ def quadrature(f, grid: RadialGrid, abs_tol: float = 0.0) -> float:
     level, at most QUAD_MAX_DOUBLINGS times.
     """
     intervals, prev = QUAD_INTERVALS, None
-    for _ in range(QUAD_MAX_DOUBLINGS + 1):
-        r = _log_points(grid, intervals)
+    for doubling in range(QUAD_MAX_DOUBLINGS + 1):
+        r, h = _log_points(grid, intervals) if doubling else grid._first_level
         g = np.asarray(f(r), dtype=float) * r
-        h = _log_step(grid, intervals)
         cur = _trapezoid(g, h)
         if not math.isfinite(cur):
             return cur
@@ -525,40 +524,43 @@ def quadrature(f, grid: RadialGrid, abs_tol: float = 0.0) -> float:
     raise ConvergenceError("trapezoid quadrature in ln r did not converge")
 
 
-def _norm_integral(state: ClosedFormState, grid: RadialGrid, R=None) -> float:
-    """Integral of |R|^2 dr over the grid's interval, R the callable of r given
-    or radial_eval(state, r).  Raises ConvergenceError when the interval cuts
-    the state, checked on quadrature's first level before any doubling: when
-    the tails past its ends, estimated from its samples of |R|^2 r in ln r
-    (_dropped_tail), exceed QUAD_REL_TOL of its estimate of the integral.
-    Raises it too when the integral is not finite and > 0, as when the
-    interval misses the state; then the first level is not checked."""
-    R = R or partial(radial_eval, state)
-    interval = f"[{grid.r_min:.6g}, {grid.r_max:.6g}]"
-    checked = []
+def _sampled(state: ClosedFormState, grid: RadialGrid):
+    """R(r) = radial_eval(state, r) for quadrature on the grid's interval.
+    The state is evaluated once on quadrature's first level, the grid's
+    _first_level, and that sampling is given again whenever quadrature hands
+    R those points; every later level is evaluated afresh.
 
-    def integrand(r):
-        y = R(r) ** 2
-        if not checked:  # quadrature's first call: QUAD_INTERVALS intervals
-            checked.append(True)
-            g, h = y * r, _log_step(grid, QUAD_INTERVALS)
-            estimate = _trapezoid(g, h)
-            if math.isfinite(estimate) and estimate > 0.0:
-                share = (_dropped_tail(g[0], g[1], h) + _dropped_tail(g[-1], g[-2], h)) / estimate
-                if not share <= QUAD_REL_TOL:
-                    raise ConvergenceError(
-                        f"the interval {interval} cuts the {state.level.value} state: an estimated "
-                        f"{share:.2g} of its norm integral lies past the ends, over the bound "
-                        f"{QUAD_REL_TOL:g}"
-                    )
-        return y
+    Raises ConvergenceError when the interval cuts the state: when the tails
+    past its ends, estimated from the first level's samples of |R|^2 r in
+    ln r (_dropped_tail), exceed QUAD_REL_TOL of that level's estimate of the
+    norm integral.  An estimate that is not finite and > 0, as when the
+    interval misses the state, is left to _norm_integral to report.  Its
+    callers hold np.errstate(over="ignore"), as _norm_integral's do."""
+    r, h = grid._first_level
+    y = radial_eval(state, r)
+    g = y * y * r
+    estimate = _trapezoid(g, h)
+    if math.isfinite(estimate) and estimate > 0.0:
+        share = (_dropped_tail(g[0], g[1], h) + _dropped_tail(g[-1], g[-2], h)) / estimate
+        if not share <= QUAD_REL_TOL:
+            raise ConvergenceError(
+                f"the interval [{grid.r_min:.6g}, {grid.r_max:.6g}] cuts the {state.level.value} "
+                f"state: an estimated {share:.2g} of its norm integral lies past the ends, over "
+                f"the bound {QUAD_REL_TOL:g}"
+            )
+    return lambda x: y if x is r else radial_eval(state, x)
 
-    with np.errstate(over="ignore"):  # an overflowing square gives inf, reported below
-        integral = quadrature(integrand, grid)
+
+def _norm_integral(state: ClosedFormState, grid: RadialGrid, R) -> float:
+    """Integral of |R|^2 dr over the grid's interval, R the state's _sampled.
+    Raises ConvergenceError when it is not finite and > 0, as when the
+    interval misses the state.  Its callers hold np.errstate(over="ignore"),
+    so a square that overflows gives inf, which it reports."""
+    integral = quadrature(lambda r: R(r) ** 2, grid)
     if not (math.isfinite(integral) and integral > 0.0):
         raise ConvergenceError(
-            f"norm integral of the {state.level.value} state on {interval} is {integral}; "
-            "it must be finite and > 0"
+            f"norm integral of the {state.level.value} state on [{grid.r_min:.6g}, {grid.r_max:.6g}] "
+            f"is {integral}; it must be finite and > 0"
         )
     return integral
 
@@ -577,7 +579,8 @@ def _dropped_tail(y_end: float, y_in: float, h: float) -> float:
 
 def normalization_constant(state: ClosedFormState, grid: RadialGrid) -> float:
     """N = (integral of |R|^2 dr)^(-1/2), so N*R has unit norm."""
-    return _norm_integral(state, grid) ** -0.5
+    with np.errstate(over="ignore"):  # an overflowing square gives inf, which _norm_integral reports
+        return _norm_integral(state, grid, _sampled(state, grid)) ** -0.5
 
 
 def overlap(s1: ClosedFormState, s2: ClosedFormState, grid: RadialGrid) -> float:
@@ -585,22 +588,13 @@ def overlap(s1: ClosedFormState, s2: ClosedFormState, grid: RadialGrid) -> float
     return _cosine(s1, s2, grid)[0]
 
 
-def _sampled(state: ClosedFormState, r0: np.ndarray):
-    """radial_eval(state, r), evaluated once at r0 and given again for any r
-    of as many points: quadrature's first level is always the same r0, and
-    every later level has more points."""
-    y = radial_eval(state, r0)
-    return lambda r: y if len(r) == len(r0) else radial_eval(state, r)
-
-
 def _cosine(s1: ClosedFormState, s2: ClosedFormState, grid: RadialGrid):
     """overlap(s1, s2, grid) and the norm integrals of s1 and s2.  Each state
-    is evaluated once at quadrature's first-level points, which its norm
-    integral and the cross integral share; a doubling past them evaluates
-    its own points."""
-    r0 = _log_points(grid, QUAD_INTERVALS)
-    R1, R2 = _sampled(s1, r0), _sampled(s2, r0)
-    i1, i2 = _norm_integral(s1, grid, R1), _norm_integral(s2, grid, R2)
+    is sampled once (_sampled), and its norm integral and the cross integral
+    share that sampling of quadrature's first level."""
+    with np.errstate(over="ignore"):  # as in normalization_constant
+        R1, R2 = _sampled(s1, grid), _sampled(s2, grid)
+        i1, i2 = _norm_integral(s1, grid, R1), _norm_integral(s2, grid, R2)
     scale = math.sqrt(i1 * i2)
     # orthogonal pairs cancel to ~0; resolve the cosine itself to 1e-11
     cross = quadrature(lambda r: R1(r) * R2(r), grid, abs_tol=1e-11 * scale)

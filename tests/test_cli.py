@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anharm2d import cli, numeric
 from anharm2d.closed_form import (
@@ -253,6 +257,37 @@ class TestNormalize:
         assert code == 4
 
 
+LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda k: 10.0**k)
+
+
+@st.composite
+def command_lines(draw):
+    """An argv of any of the four commands: log-uniform a and c, b on the
+    ground surface of either branch or off it, m from 0 to 10^160, grids
+    of up to 1024 points, and sample counts up to 2^64, past 2^50 only
+    where no address space holds them, so that they fail at once."""
+    command = draw(st.sampled_from(["solve", "eval", "verify", "normalize"]))
+    a, m = draw(LOG_UNIFORM), draw(st.sampled_from([0, 1, 2, 100, 10**160]))
+    argv = [command, "--a", repr(a), "--m", str(m)]
+    if command in ("eval", "normalize"):
+        argv += ["--state", draw(st.sampled_from(["ground", "excited"]))]
+        if draw(st.booleans()):
+            c = draw(LOG_UNIFORM)
+            try:
+                b = ground_constraint_b(a, c, m, draw(st.sampled_from(list(SignBranch))))
+            except ValueError:  # m^2 is not a finite float
+                b = 0.0
+            b = draw(st.sampled_from([b, 0.0, -b * draw(LOG_UNIFORM)]))
+            argv += ["--c", repr(c), "--b", repr(b)]
+    if command == "eval":
+        argv += ["--samples", str(draw(st.one_of(st.integers(0, 64), st.integers(2**50, 2**64),
+                                                 st.sampled_from([2**63 - 1, 2**63]))))]
+        argv += ["--normalize"] * draw(st.booleans())
+    if command == "verify":
+        argv += ["--grid-n", str(draw(st.integers(0, 1024)))]
+    return argv
+
+
 class TestMain:
     def test_parser_built_once_and_dispatch_is_late(self, capsys, monkeypatch):
         run(capsys, "solve", "--a", "1")
@@ -278,6 +313,21 @@ class TestMain:
         code, stdout, err = run(capsys, *command, "--a", "1", "--out", str(out))
         assert (code, stdout) == (2, "")
         assert err.startswith("error: ")
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=command_lines())
+    def test_no_input_ends_in_a_traceback(self, argv):
+        # every input ends in a documented exit code with a message, and
+        # a normalize that exits 0 prints a finite positive N; a warning is
+        # an error here too (pyproject.toml's filterwarnings)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 2, 3, 4, 5), argv
+        assert err.getvalue().startswith("error: ") == (code in (2, 3, 4)), argv
+        if argv[0] == "normalize" and code == 0:
+            n = json.loads(out.getvalue())["N"]
+            assert math.isfinite(n) and n > 0.0, argv
 
 
 class TestPipelines:

@@ -52,6 +52,39 @@ class TestSameOutputs:
         assert all(list(argv) in commands for _, argv, *_ in script.OUTCOMES)
 
 
+TOY_SOURCE = '''"""Module docstring,
+over two lines."""
+
+import math  # a comment after code
+
+
+class Toy:
+    """Class docstring."""
+
+    # a comment line
+    def area(self, r):
+        """Function docstring,
+
+        over three lines."""
+        text = """a string that is not a docstring"""
+        return math.pi * r * r
+'''
+
+
+class TestSrcLines:
+    def test_counts_code_lines_of_a_toy_tree(self, tmp_path, capsys):
+        # 16 lines: 6 of docstrings, 4 blank and 1 comment leave 5 of code
+        script = load_script("src_lines")
+        assert script.count(TOY_SOURCE) == (16, 5)
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "pkg" / "toy.py").write_text(TOY_SOURCE)
+        (tmp_path / "pkg" / "empty.py").write_text("")
+        assert script.main([str(tmp_path)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1:] == ["     0      0  pkg/empty.py", "    16      5  pkg/toy.py",
+                            f"    16      5  {tmp_path.name}/ in all"]
+
+
 class TestBench:
     @pytest.mark.parametrize("failing", [None, ("fine", 1, "parent"), ("sweep", 2, "change")])
     def test_pairs_with_failed_operations_are_left_out(self, monkeypatch, tmp_path, failing):
