@@ -1,23 +1,34 @@
 #!/usr/bin/env python3
-"""Check that this checkout's program gives the same outputs as revision REV.
+"""Check that this checkout's program gives the same outputs as revision REV,
+or as a committed record of them.
 
 Usage: python scripts/same_outputs.py REV
+       python scripts/same_outputs.py --record FILE
+       python scripts/same_outputs.py --check FILE
 
-REV (a commit, branch or tag) is unpacked with git archive into a temporary
-directory. One fresh interpreter per tree imports anharm2d from that tree's
-src/ and runs a fixed set of CLI commands in process: solve, eval with and
-without --normalize, normalize and verify over a spread of a (0.25 to 10,
-and 1e-300 to 1e300), m in {0, 1} and verify grids from 64 to 64000 points.
-Then eval and normalize on the paths that sweep misses (few --samples, an
-explicit --r-min/--r-max, explicit --c/--b on both kappa branches), and the
-command of every row of OUTCOMES, the CLI's documented outcomes, which
-tests/test_cli.py asserts. Each command's exit code and stdout and stderr
-text are compared; every difference is listed, and the script exits 1 if
-there is any, 0 otherwise.
+A fresh interpreter imports anharm2d from a tree's src/ and runs a fixed set
+of CLI commands in process: solve, eval with and without --normalize,
+normalize and verify over a spread of a (0.25 to 10, and 1e-300 to 1e300),
+m in {0, 1} and verify grids from 64 to 64000 points. Then eval and
+normalize on the paths that sweep misses (few --samples, an explicit
+--r-min/--r-max, explicit --c/--b on both kappa branches), and the command
+of every row of OUTCOMES, the CLI's documented outcomes, which
+tests/test_cli.py asserts.
+
+With REV (a commit, branch or tag), the revision is unpacked with git
+archive into a temporary directory and each command's exit code and stdout
+and stderr text are compared byte for byte. --record FILE writes this
+checkout's outputs to FILE, one command per line. --check FILE compares
+this checkout with that record: exit codes, stderr, keys, integers and
+strings exactly, but a float within a stated tolerance (same()),
+since NumPy's exp and log, and the BLAS behind a dot product, may round
+differently on another CPU. Every difference is listed, and the script
+exits 1 if there is any, 0 otherwise.
 """
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -26,7 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 A_VALUES = ("0.25", "1", "4", "10", "1e-6", "1e6", "1e-200", "1e200", "1e-300", "1e300")
-VERIFY_N = (64, 65, 257, 1000, 4000, 16000, 64000)  # from 16000 up, tails are solved by cyclic reduction
+VERIFY_N = (64, 65, 257, 1000, 4000, 16000, 64000)  # from 4000 up, tails are solved by cyclic reduction
 # explicit --c/--b: (a, m) = (1, 0) on the plus and the minus kappa branch,
 # (1, 1) on the plus branch, and the joint states of a = 1e12 and a = 1
 EXPLICIT = (
@@ -268,13 +279,107 @@ def outputs(tree: Path, argvs: list) -> list:
     return [[code, out, err.replace(str(tree), "<tree>")] for code, out, err in doc["results"]]
 
 
+# A float of JSON output (printed by repr, so every bit shows) may move by
+# FLOAT_ULPS units in the last place of max(|x|, |y|, scale), scale 1 for the
+# overlap, a cosine whose value is rounding noise, and 0 for every other key.
+# A float of eval's CSV, printed to 9 significant digits, may move by one unit
+# of its ninth digit: a move of one ulp can carry it across a rounding tie.
+FLOAT_ULPS = 16
+SCALE = {"overlap_01": 1.0}
+CSV_DIGITS = 9
+
+
+def parsed(stdout: str) -> dict:
+    """stdout as data: {"json": the document}, {"csv": the rows of eval's
+    CSV after its header, each a list of floats}, or {"text": stdout}."""
+    try:
+        return {"json": json.loads(stdout)}
+    except ValueError:
+        pass
+    header, _, rows = stdout.partition("\n")
+    if header == "r,R":
+        return {"csv": [[float(x) for x in row.split(",")] for row in rows.splitlines()]}
+    return {"text": stdout}
+
+
+def same(recorded: dict, current: dict) -> bool:
+    """Whether the parsed stdout current matches recorded: a float within the
+    tolerance of FLOAT_ULPS or CSV_DIGITS, everything else exactly."""
+    if recorded.keys() != current.keys():
+        return False
+    if "json" in recorded:
+        return same_json(recorded["json"], current["json"])
+    if "csv" in recorded:
+        a, b = recorded["csv"], current["csv"]
+        return len(a) == len(b) and all(
+            len(p) == len(q) and all(close(x, y, csv_unit(x, y)) for x, y in zip(p, q)) for p, q in zip(a, b))
+    return recorded == current
+
+
+def same_json(recorded, current, key=None) -> bool:
+    if isinstance(recorded, dict) and isinstance(current, dict):
+        return recorded.keys() == current.keys() and all(same_json(recorded[k], current[k], k) for k in recorded)
+    if isinstance(recorded, list) and isinstance(current, list):
+        return len(recorded) == len(current) and all(same_json(a, b, key) for a, b in zip(recorded, current))
+    if type(recorded) is float and type(current) is float:
+        scale = max(abs(recorded), abs(current), SCALE.get(key, 0.0))
+        return close(recorded, current, FLOAT_ULPS * math.ulp(scale) if math.isfinite(scale) else 0.0)
+    return type(recorded) is type(current) and recorded == current
+
+
+def close(x: float, y: float, unit: float) -> bool:
+    """x and y equal or within unit of each other."""
+    return x == y or abs(x - y) <= unit
+
+
+def csv_unit(x: float, y: float) -> float:
+    """One unit of the last of CSV_DIGITS significant digits of the larger of |x| and |y|."""
+    big = max(abs(x), abs(y))
+    return 10.0 ** (math.floor(math.log10(big)) - CSV_DIGITS + 1) if 0.0 < big < math.inf else 0.0
+
+
+def record(path: Path, argvs: list) -> None:
+    """Write each command's argv, exit code, stderr and parsed stdout, run on
+    this checkout, to path: one JSON object a line."""
+    lines = [json.dumps({"argv": argv, "exit": code, "stderr": err, "stdout": parsed(out)}, separators=(",", ":"))
+             for argv, (code, out, err) in zip(argvs, outputs(ROOT, argvs))]
+    path.write_text("[\n" + ",\n".join(lines) + "\n]\n")
+
+
+def check(path: Path, argvs: list) -> int:
+    """How many commands' outputs on this checkout differ from the record at
+    path, each printed; the record must hold the same commands."""
+    entries = json.loads(path.read_text())
+    if [entry["argv"] for entry in entries] != argvs:
+        raise SystemExit(f"error: {path} records another command set; write it again with --record")
+    differing = 0
+    for entry, (code, out, err) in zip(entries, outputs(ROOT, argvs)):
+        what = [name for name, ok in (("exit code", entry["exit"] == code), ("stderr", entry["stderr"] == err),
+                                      ("stdout", same(entry["stdout"], parsed(out)))) if not ok]
+        if what:
+            differing += 1
+            print(f"differs in {', '.join(what)} (exit {entry['exit']} -> {code}): anharm2d {' '.join(entry['argv'])}")
+    return differing
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("rev", help="the revision to compare this checkout with")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("rev", nargs="?", help="the revision to compare this checkout with")
+    mode.add_argument("--record", type=Path, metavar="FILE", help="write this checkout's outputs to FILE")
+    mode.add_argument("--check", type=Path, metavar="FILE", help="compare this checkout with the record FILE")
     args = parser.parse_args(argv)
 
     argvs = commands()
+    if args.record:
+        record(args.record, argvs)
+        print(f"recorded {len(argvs)} commands in {args.record}")
+        return 0
+    if args.check:
+        differing = check(args.check, argvs)
+        print(f"{differing} of {len(argvs)} commands differ from the record {args.check}")
+        return 1 if differing else 0
     with tempfile.TemporaryDirectory() as tmp:
         unpack(args.rev, Path(tmp))
         theirs = outputs(Path(tmp), argvs)

@@ -5,11 +5,11 @@ differences on the grid of build_grid, and the low spectrum is extracted
 from scratch, with no library eigensolver.  Each mechanism is told once,
 where it is done: lowest_eigenvalues (the residual certificate, the
 predicted path, the bisection tiers), _twisted_rayleigh (the Rayleigh step,
-its window, its decaying tail and its residual), _decaying_tail (the
-cyclic reduction), sturm_count (the turning-point cut), _ladder
-(the ladder of grids, the predictions, the guides), quadrature (the
-trapezoid rule in ln r), _sampled (the tails an interval cuts off) and
-verify (the report and when it fails).
+its window, its one shifted diagonal, its decaying tail and its residual),
+_decaying_tail (the shallow cyclic reduction and the sweep that finishes
+it), sturm_count (the turning-point cut), _ladder (the ladder of grids, the
+predictions, the guides), quadrature (the trapezoid rule in ln r), _sampled
+(the tails an interval cuts off) and verify (the report and when it fails).
 """
 
 from __future__ import annotations
@@ -37,7 +37,10 @@ QUAD_REL_TOL = 1e-10  # quadrature stops when two levels agree to this
 QUAD_INTERVALS = 128  # intervals in ln r of quadrature's first level
 QUAD_MAX_DOUBLINGS = 9  # so at most 65536 intervals
 RAYLEIGH_STEPS = 6  # most Rayleigh steps per start; a start tens of percent off needs several
-TAIL_SOLVE_ROWS = 4096  # shortest decaying tail solved by cyclic reduction; it wins from ~2000 rows
+# shortest decaying tail solved by cyclic reduction: a whole guided step
+# gains from 1,100-1,400 rows, the more the larger the grid
+TAIL_SOLVE_ROWS = 1536
+TAIL_FINISH_ROWS = 64  # cyclic reduction stops at this many rows or fewer, which one sweep solves
 
 
 class ConvergenceError(RuntimeError):
@@ -134,24 +137,26 @@ def _sweep(shifted: memoryview, e2: float, q: float = math.inf):
         yield q
 
 
-def _pivots(d: np.ndarray, e: float, lam: float, start: float = math.inf) -> np.ndarray:
-    """Pivots q_i = d_i - lam - e^2 / q_(i-1), q_0 = start, of T - lam I =
-    L D L^T, T with diagonal d and every off-diagonal entry e; how many are
-    negative is the Sturm count of lam.  The default start, inf, begins at a
-    Dirichlet end; a finite one is the pivot of the rows that precede d,
-    eliminated elsewhere (_decaying_tail).  A pivot smaller than pivmin =
-    tiny * max(1, e^2) in magnitude, as in LAPACK's dstebz, is replaced by
-    -pivmin, so it counts either way.
+def _pivots(shifted: np.ndarray, e: float, start: float = math.inf) -> np.ndarray:
+    """Pivots q_i = s_i - e^2 / q_(i-1), q_0 = start, of T - lam I = L D L^T,
+    T with diagonal d and every off-diagonal entry e, and shifted the
+    diagonal s = d - lam of T - lam I; how many are negative is the Sturm
+    count of lam.  The default start, inf, begins at a Dirichlet end; a
+    finite one is the pivot of the rows that precede shifted, eliminated
+    elsewhere (_decaying_tail).  A pivot smaller than pivmin = tiny * max(1,
+    e^2) in magnitude, as in LAPACK's dstebz, is replaced by -pivmin, so it
+    counts either way.
 
-    NumPy forms d - lam, the IEEE subtraction the loop would make, and the
-    sweep (_sweep) runs unguarded over a memoryview of it, which builds no
-    list and yields Python floats: they iterate several times faster than
-    numpy scalars, and division by a zero pivot raises instead of giving
-    inf.  Only when it divides by an exact zero, or min|q_i| is not >= pivmin
-    (NaN included), is it redone with the guard on every element; otherwise
-    the guard would not have fired, so the pivots are the same bit for bit."""
+    The caller forms d - lam in NumPy, the IEEE subtraction the loop would
+    make, and the sweep (_sweep) runs unguarded over a memoryview of it,
+    which builds no list and yields Python floats: they iterate several
+    times faster than numpy scalars, and division by a zero pivot raises
+    instead of giving inf.  Only when it divides by an exact zero, or
+    min|q_i| is not >= pivmin (NaN included), is it redone with the guard on
+    every element; otherwise the guard would not have fired, so the pivots
+    are the same bit for bit."""
     e2, pivmin = e * e, sys.float_info.min * max(1.0, e * e)
-    shifted = memoryview(d - lam)
+    shifted = memoryview(shifted)
     try:
         pivots = np.fromiter(_sweep(shifted, e2, start), float, len(shifted))
     except ZeroDivisionError:
@@ -187,9 +192,9 @@ def sturm_count(ham: DiscreteHamiltonian, lam: float) -> int:
     i* is 0 or n, the whole grid is swept."""
     d, e = ham.diag, abs(ham.offdiag)
     cut = _turning_point(ham, lam)
-    pivots = _pivots(d[:cut], e, lam) if 0 < cut < ham.n else None
+    pivots = _pivots(d[:cut] - lam, e) if 0 < cut < ham.n else None
     if pivots is None or not pivots[-1] >= e:
-        pivots = _pivots(d, e, lam)
+        pivots = _pivots(d - lam, e)
     return int(np.count_nonzero(pivots < 0.0))
 
 
@@ -202,24 +207,29 @@ def _gershgorin_bounds(ham: DiscreteHamiltonian):
 
 def _decaying_tail(b: np.ndarray, e: float) -> tuple[np.ndarray, float]:
     """y solving M y = |e| e_0, M the symmetric tridiagonal matrix with
-    diagonal b and every off-diagonal entry e, by cyclic (odd-even)
-    reduction; and D-_0 = |e| / y_0, the pivot at row 0 of M's elimination
-    from its last row up, which reduction leaves as row 0's diagonal.
+    diagonal b and every off-diagonal entry e, by a shallow cyclic
+    (odd-even) reduction finished with one pivot sweep; and D-_0 = |e| / y_0,
+    the pivot at row 0 of M's elimination from its last row up.
 
     Past the outer turning point b_i >= 2|e|, so M is a diagonally dominant
     M-matrix, on which reduction is stable without pivoting (Heller, SIAM J.
-    Numer. Anal. 13, 1976).  Each level eliminates the odd rows: even row i
-    takes b_i - c_(i-1) / b_(i-1) - c_i / b_(i+1), c_i the squared coupling
-    of rows i and i + 1, and couples to row i + 2 by c_i c_(i+1) /
-    b_(i+1)^2.  The couplings start at e^2 rounded as _pivots rounds it, so
-    D-_0 is that of the same matrix as the pivot loop's.  The right-hand
-    side, nonzero only in row 0, is never touched.  Back substitution then
-    gives each odd row y_i = (sqrt(c_(i-1)) y_(i-1) + sqrt(c_i) y_(i+1)) / b_i,
-    every entry positive.  About log2(len(b)) levels of a few array
-    operations each replace len(b) pivots swept one at a time."""
+    Numer. Anal. 13, 1976).  While more than TAIL_FINISH_ROWS rows remain,
+    each level eliminates the odd rows: even row i takes b_i - c_(i-1) /
+    b_(i-1) - c_i / b_(i+1), c_i the squared coupling of rows i and i + 1,
+    and couples to row i + 2 by c_i c_(i+1) / b_(i+1)^2.  The couplings
+    start at e^2 rounded as _pivots rounds it, so D-_0 is that of the same
+    matrix as the pivot loop's.  The right-hand side, nonzero only in row 0,
+    is never touched.  A level costs about a dozen NumPy calls however few
+    rows it has, so the at most TAIL_FINISH_ROWS rows left are swept from the
+    last up in Python floats instead, D_i = b_i - c_i / D_(i+1); that gives
+    D-_0 and, from row 0 down, y_0 = |e| / D_0 and y_(i+1) = sqrt(c_i) y_i /
+    D_(i+1).  Back substitution then gives each odd row of each level y_i =
+    (sqrt(c_(i-1)) y_(i-1) + sqrt(c_i) y_(i+1)) / b_i, every entry positive.
+    About log2(len(b) / TAIL_FINISH_ROWS) levels replace len(b) pivots swept
+    one at a time."""
     levels = []
     c = np.full(len(b) - 1, e * e)
-    while len(b) > 1:
+    while len(b) > TAIL_FINISH_ROWS:
         levels.append((b, c))
         odd = b[1::2]
         back, on = c[0::2] / odd, c[1::2] / odd[:len(c) // 2]  # each odd row's terms in its neighbours
@@ -227,8 +237,15 @@ def _decaying_tail(b: np.ndarray, e: float) -> tuple[np.ndarray, float]:
         reduced[:len(odd)] -= back
         reduced[1:] -= on
         b, c = reduced, back[:len(on)] * on
-    pivot = float(b[0])
-    y = np.array([abs(e) / pivot])
+    rows, couplings = b.tolist(), c.tolist()
+    pivots = [rows[-1]]
+    for bi, ci in zip(rows[-2::-1], couplings[::-1]):
+        pivots.append(bi - ci / pivots[-1])
+    pivot = pivots[-1]
+    y = [abs(e) / pivot]
+    for ci, qi in zip(couplings, pivots[-2::-1]):
+        y.append(math.sqrt(ci) * y[-1] / qi)
+    y = np.array(y)
     for b, c in reversed(levels):
         odd, coupling = b[1::2], np.sqrt(c)
         full = np.empty(len(b))
@@ -263,10 +280,12 @@ def _twisted_rayleigh(ham: DiscreteHamiltonian, sigma: float, window=None):
 
     Past the outer turning point the vector only decays.  When the rows
     [t, stop), t = max(_turning_point(sigma), hi + 1), number at least
-    TAIL_SOLVE_ROWS, they are not swept: _decaying_tail solves them by
-    cyclic reduction for y = z[t:stop] / z_(t-1) and the pivot D-_t, which
-    seeds the sweep over [lo, t).  Short tails and unwindowed steps stay on
-    the sweep.  The solve leaves w, the computed (T - sigma I) z on its
+    TAIL_SOLVE_ROWS, they are not swept: _decaying_tail solves them by a
+    shallow cyclic reduction for y = z[t:stop] / z_(t-1) and the pivot D-_t,
+    which seeds the sweep over [lo, t).  Short tails and unwindowed steps
+    stay on the sweep.  Both sweeps, gamma and the tail read one shifted
+    diagonal, d[:stop] - sigma, formed once per step: each reads the same
+    IEEE differences it would form itself.  The solve leaves w, the computed (T - sigma I) z on its
     rows, which are neither r nor stop, so (T - sigma I) z = gamma_r e_r + w
     + e z_(stop-1) e_stop.  Then rho = sigma + (gamma_r + w.z) / |z|^2, and
     the residual is |g - (g.z / |z|^2) z| / |z|, g that sum, with
@@ -283,21 +302,22 @@ def _twisted_rayleigh(ham: DiscreteHamiltonian, sigma: float, window=None):
     first nonzero entry, at or before r, is positive (division and negation
     are exact), its Rayleigh quotient and its residual.
     """
-    d, e = ham.diag, abs(ham.offdiag)
+    e = abs(ham.offdiag)
     lo, hi, stop = window or (0, None, ham.n)
+    shifted = ham.diag[:stop] - sigma  # formed once: both sweeps, gamma and the tail read it
     t, start = stop, math.inf  # rows [t, stop), if any, are the decaying tail
     if window and stop - hi - 1 >= TAIL_SOLVE_ROWS:  # else no tail is long enough: skip the pass
         cut = max(_turning_point(ham, sigma), hi + 1)
         if stop - cut >= TAIL_SOLVE_ROWS:
-            t, b = cut, ham.diag[cut:stop] - sigma
+            t, b = cut, shifted[cut:]
             y, start = _decaying_tail(b, ham.offdiag)
-    # one reversed view, d[t-1] down to d[lo]; bwd is a view too, D-_i at bwd[i - lo]
-    bwd = _pivots(d[t - 1:lo - 1 if lo else None:-1], e, sigma, start)[::-1]
+    # one reversed view, rows t-1 down to lo; bwd is a view too, D-_i at bwd[i - lo]
+    bwd = _pivots(shifted[t - 1:lo - 1 if lo else None:-1], e, start)[::-1]
     if window is None:
         grows = (abs(bwd) < e).nonzero()[0]
         hi = int(grows[-1]) if grows.size else 0
-    fwd = _pivots(d[:hi + 1], e, sigma)
-    gamma = fwd[lo:] + bwd[:hi + 1 - lo] - (ham.diag[lo:hi + 1] - sigma)
+    fwd = _pivots(shifted[:hi + 1], e)
+    gamma = fwd[lo:] + bwd[:hi + 1 - lo] - shifted[lo:hi + 1]
     r = lo + int(abs(gamma).argmin())
     z = np.zeros(ham.n)
     z[r] = 1.0

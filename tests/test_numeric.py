@@ -261,7 +261,7 @@ class TestEigensolver:
         d, e = ham.diag, ham.offdiag
         for x in shifts:
             expected = int(np.sum(every < x))
-            assert sturm_count(ham, x) == negatives(_pivots(d, e, x)) == expected, x
+            assert sturm_count(ham, x) == negatives(_pivots(d - x, e)) == expected, x
 
     @pytest.mark.parametrize("a", [1e-6, 1.0, 1e6])
     @pytest.mark.parametrize("n", [16, 1000])
@@ -279,7 +279,7 @@ class TestEigensolver:
         branches = set()
         for x in shifts:
             sweeps.clear()
-            assert sturm_count(ham, x) == negatives(_pivots(d, e, x)), x
+            assert sturm_count(ham, x) == negatives(_pivots(d - x, e)), x
             branches.add("cut" if sweeps[-1] < n else "fallback" if len(sweeps) == 2 else "full")
         assert {"cut", "fallback"} <= branches
 
@@ -305,7 +305,7 @@ class TestEigensolver:
         for x in shifts:
             cut = numeric._turning_point(ham, x)
             assert cut == tail_min.searchsorted(x + 2.0 * abs(e)), x
-            assert sturm_count(ham, x) == negatives(_pivots(d, e, x)), x
+            assert sturm_count(ham, x) == negatives(_pivots(d - x, e)), x
             cuts.add(0 if cut == 0 else ham.n if cut == ham.n else "inside")
         assert cuts == {0, "inside", ham.n}
 
@@ -336,7 +336,7 @@ class TestEigensolver:
             seed = float(guarded_pivots(d[:1], e2, x, pivmin)[0])
             for first, rows, start in ((0, d, math.inf), (0, flipped[t - 1:lo - 1:-1], math.inf),
                                        (1, d[1:], seed)):
-                yield (first, _pivots(rows, e, as_shift(x), start),
+                yield (first, _pivots(rows - as_shift(x), e, start),
                        guarded_pivots(rows, e2, x, pivmin, start))
 
         for x in shifts:
@@ -456,33 +456,45 @@ class TestEigensolver:
                 assert res == pytest.approx(direct, rel=1e-6)
                 assert res > 1e3 * rounding_floor(ham)
 
-    @pytest.mark.parametrize("level, factor", [(0, 1.0), (1, 1.0), (0, 1.01), (1, 0.99)])
-    def test_tail_solve_matches_the_loop(self, level, factor):
-        # from the turning point to the guided stop of a 64000-point step,
-        # at the converged shifts and off them, cyclic reduction solves the
-        # rows that the pivot loop, the reference, sweeps.  Both are
-        # backward stable; y_0 is not well conditioned there, where D-/|e|
-        # is 1 + 3e-4, and against a 34-digit sweep the loop's y_0 is off by
-        # 2-5 eps and the solve's by 24-109 eps
-        ham = sec3_hamiltonian(64000)
-        sigma = factor * (library_pair(ham) if factor == 1.0 else (-2.0, 6.0))[level]
-        lo, hi, stop = numeric._window(coarse_vectors(16000)[level], ham.n)
-        t = max(numeric._turning_point(ham, sigma), hi + 1)
-        assert stop - t >= numeric.TAIL_SOLVE_ROWS
-        b = ham.diag[t:stop] - sigma
-        y, pivot = numeric._decaying_tail(b, ham.offdiag)
-        loop = _pivots(ham.diag[stop - 1:t - 1:-1], ham.offdiag, sigma)[::-1]
+    EVERY_SHIFT = [(0, 1.0), (1, 1.0), (0, 1.01), (1, 0.99)]
+
+    @pytest.mark.parametrize("n, shifts, rows", [
+        *(pytest.param(64000, [shift], None, id=f"{shift[0]}-{shift[1]}") for shift in EVERY_SHIFT),
+        pytest.param(4000, EVERY_SHIFT, None, id="4000"),
+        pytest.param(4000, EVERY_SHIFT, (65, 100, 128), id="65-128"),
+    ])
+    def test_tail_solve_matches_the_loop(self, n, shifts, rows):
+        # from the turning point to the guided stop of a 64000- or a
+        # 4000-point step, at the converged shifts and off them, cyclic
+        # reduction solves the rows that the pivot loop, the reference,
+        # sweeps; or the last 65-128 rows before the stop, which take one
+        # level of reduction and then the scalar finish.  Both are backward
+        # stable; y_0 is not well conditioned there, where D-/|e| is
+        # 1 + 3e-4 at n = 64000: against a 34-digit sweep the loop's y_0 is
+        # off by 2-5 eps, and the solve's D-_0 lies 33-94 eps from the
+        # loop's (0-9 eps at n = 4000)
+        ham = sec3_hamiltonian(n)
         e = abs(ham.offdiag)
-        ratios = np.cumprod(e / loop)  # the loop's z_i / z_(t-1) over the tail
-        assert pivot == pytest.approx(loop[0], rel=256 * np.finfo(float).eps)
-        assert y[0] == pytest.approx(ratios[0], rel=256 * np.finfo(float).eps)
-        assert np.all(np.abs(y - ratios) <= 1e-10 * ratios)
-        assert ratios[-1] < 1e-12  # the tail decays to the node floor and below
-        rows = b * y  # (T - sigma I) z on the tail, z_(t-1) = 1
-        rows[0] += ham.offdiag
-        rows[1:] += ham.offdiag * y[:-1]
-        rows[:-1] += ham.offdiag * y[1:]
-        assert np.max(np.abs(rows)) <= 1e-13 * e
+        for level, factor in shifts:
+            sigma = factor * (library_pair(ham) if factor == 1.0 else (-2.0, 6.0))[level]
+            lo, hi, stop = numeric._window(coarse_vectors(n // 4)[level], ham.n)
+            whole = max(numeric._turning_point(ham, sigma), hi + 1)
+            assert stop - whole >= numeric.TAIL_SOLVE_ROWS
+            for t in [whole] if rows is None else [stop - count for count in rows]:
+                b = ham.diag[t:stop] - sigma
+                y, pivot = numeric._decaying_tail(b, ham.offdiag)
+                loop = _pivots(ham.diag[stop - 1:t - 1:-1] - sigma, ham.offdiag)[::-1]
+                ratios = np.cumprod(e / loop)  # the loop's z_i / z_(t-1) over the tail
+                assert pivot == pytest.approx(loop[0], rel=256 * np.finfo(float).eps)
+                assert y[0] == pytest.approx(ratios[0], rel=256 * np.finfo(float).eps)
+                assert np.all(np.abs(y - ratios) <= 1e-10 * ratios)
+                if t == whole:
+                    assert ratios[-1] < 1e-12  # the tail decays to the node floor and below
+                residual = b * y  # (T - sigma I) z on the tail, z_(t-1) = 1
+                residual[0] += ham.offdiag
+                residual[1:] += ham.offdiag * y[:-1]
+                residual[:-1] += ham.offdiag * y[1:]
+                assert np.max(np.abs(residual)) <= 1e-13 * e
 
     def test_a_wrong_tail_only_makes_the_residual_large(self, monkeypatch):
         # the quotient and the residual carry w, the tail rows' own
@@ -517,6 +529,58 @@ class TestEigensolver:
         result = lowest_eigenvalues(ham, 2, ref, guides)
         assert np.all(np.abs(result.eigenvalues - ref) <= 2.0 * rounding_floor(ham))
         assert [node_count(v) for v in result.eigenvectors] == [0, 1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(["normal", "well", "plateaus", "wall+well"]),
+        n=st.integers(16, 600),
+        k=st.integers(1, 5),
+        log_e=st.floats(-3.0, 3.0),
+        log_spread=st.floats(-4.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+        log_miss=st.none() | st.floats(-12.0, -1.0),
+        guide=st.sampled_from(["none", "near", "cut", "random"]),
+    )
+    @example(kind="normal", n=200, k=5, log_e=0.0, log_spread=1.0, seed=1, log_miss=-3.0, guide="random")
+    @example(kind="plateaus", n=400, k=5, log_e=-2.0, log_spread=0.0, seed=2, log_miss=-8.0, guide="cut")
+    @example(kind="wall+well", n=300, k=3, log_e=2.0, log_spread=-2.0, seed=3, log_miss=None, guide="none")
+    # both guided steps solve their decaying tails, of 2,496 and 2,366 rows,
+    # by cyclic reduction
+    @example(kind="well", n=4000, k=2, log_e=0.0, log_spread=-3.0, seed=0, log_miss=-12.0, guide="near")
+    def test_certificate_holds_over_its_input_class(self, kind, n, k, log_e, log_spread, seed, log_miss, guide):
+        # any symmetric tridiagonal with one off-diagonal value e: the
+        # diagonal 2|e| + spread |e| f(x), x = i/n, f i.i.d. normal, a smooth
+        # well, four constant plateaus (clusters) or a wall and a well;
+        # predictions, if any, off the library's eigenvalues by up to
+        # 10^log_miss relative, and unit guides: none, the library's vectors
+        # as far off, the same cut to zero past a point after their peak, or
+        # random.  Each returned eigenvalue lies within its residual + slack
+        # of the library's, or the call raises ConvergenceError, and nothing
+        # else
+        rng = np.random.default_rng(seed)
+        x = np.arange(1.0, n + 1) / n
+        f = {"normal": lambda: rng.standard_normal(n), "well": lambda: (x - 0.25) ** 2,
+             "plateaus": lambda: np.repeat(rng.uniform(size=4), -(-n // 4))[:n],
+             "wall+well": lambda: 1.0 / x**2 + 1e3 * x**2}[kind]()
+        e = 10.0**log_e
+        ham = DiscreteHamiltonian(diag=e * (2.0 + 10.0**log_spread * f), offdiag=-e)
+        ref, vectors = eigh_tridiagonal(ham.diag, offdiag_entries(ham), select="i", select_range=(0, k - 1))
+        predicted, guides = (), ()
+        if log_miss is not None:
+            predicted = ref * (1.0 + 10.0**log_miss * rng.uniform(-1.0, 1.0, k))
+            near = vectors.T + 10.0**log_miss * rng.standard_normal((k, n)) / math.sqrt(n)
+            ends = rng.integers(np.abs(near).argmax(axis=1) + 1, n + 1)[:, None]
+            guides = {"none": (), "near": near, "cut": near * (np.arange(n) < ends),
+                      "random": rng.standard_normal((k, n))}[guide]
+            guides = guides / np.linalg.norm(guides, axis=1)[:, None] if len(guides) else ()
+        try:
+            result = lowest_eigenvalues(ham, k, predicted, guides)
+        except ConvergenceError:
+            return
+        slack = 4.0 * np.finfo(float).eps * max(map(abs, _gershgorin_bounds(ham)))
+        for rho, v, exact in zip(result.eigenvalues, result.eigenvectors, ref):
+            res = float(np.linalg.norm(apply(ham, v) - rho * v))
+            assert abs(rho - exact) <= res + slack
 
     @pytest.mark.parametrize("n", [43, 574])
     def test_twist_window_ends_at_the_peak(self, monkeypatch, n):
@@ -839,7 +903,7 @@ class TestVerify:
         # floor; full-grid counts and a bisected 2000-point first scout
         # swept 605,528 elements, unguided steps 342,947, a count per
         # eigenvalue 259,135.  Of the 237,361 rows touched, the pivot loop
-        # sweeps 101,062 and cyclic reduction solves the 136,299 of the
+        # sweeps 91,164 and cyclic reduction solves the 146,197 of the
         # long decaying tails; the loop swept them all
         sweeps = spy(monkeypatch, "_pivots", lambda d, *rest: len(d))
         tails = spy(monkeypatch, "_decaying_tail", lambda b, e: len(b))
@@ -851,21 +915,24 @@ class TestVerify:
 
     def test_tails_are_solved_only_where_they_are_long(self, monkeypatch):
         # a guided step solves its decaying tail by cyclic reduction only
-        # when it has TAIL_SOLVE_ROWS rows: at n = 64000 on the 16000-,
-        # 32000- and 64000-point grids, and never on the eight joint
-        # configurations at n = 4000, whose grids have fewer points
+        # when it has TAIL_SOLVE_ROWS rows: at n = 64000 on the 4000-,
+        # 16000-, 32000- and 64000-point grids, and at n = 4000, for each of
+        # the eight joint configurations, on the 4000-point grid alone,
+        # whose tails have 2,401-2,539 rows; the 2000-point grid's
+        # 1,210-1,280 rows stay on the loop
         grids, real_twisted = [], numeric._twisted_rayleigh
         monkeypatch.setattr(numeric, "_twisted_rayleigh",
                             lambda ham, *rest: grids.append(ham.n) or real_twisted(ham, *rest))
         tails = spy(monkeypatch, "_decaying_tail", lambda b, e: (grids[-1], len(b)))
         assert verify(1.0, 0, 64000).passed
-        assert {n for n, _ in tails} == {16000, 32000, 64000}
+        assert {n for n, _ in tails} == {4000, 16000, 32000, 64000}
         assert all(rows >= numeric.TAIL_SOLVE_ROWS for _, rows in tails)
-        tails.clear()
         for a in (0.25, 1.0, 4.0, 10.0):
             for m in (0, 1):
+                tails.clear()
                 assert verify(a, m, 4000).passed
-        assert tails == []
+                assert [n for n, _ in tails] == [4000, 4000], (a, m)
+                assert all(rows >= numeric.TAIL_SOLVE_ROWS for _, rows in tails)
 
     def test_guided_steps_stop_short_of_the_grid_end(self, monkeypatch):
         # each 64000-point step is guided by the 16000-point vectors and
@@ -938,7 +1005,8 @@ class TestVerify:
         # scales as a^(-1/4), so the operator at a is sqrt(a) times the one
         # at a = 1, up to rounding: energies over sqrt(a) are a = 1's within
         # its rounding floor, eps * max|Gershgorin end|.  At n = 16000 the
-        # 8000- and 16000-point grids solve their tails by cyclic reduction
+        # 4000-, 8000- and 16000-point grids solve their tails by cyclic
+        # reduction
         params = excited_solve(1.0, m).params
         floor = np.finfo(float).eps * max(map(abs, _gershgorin_bounds(
             assemble(params, m, build_grid(params, 16000)))))

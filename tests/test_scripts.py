@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -50,6 +51,48 @@ class TestSameOutputs:
         script = load_script("same_outputs")
         commands = script.commands()
         assert all(list(argv) in commands for _, argv, *_ in script.OUTCOMES)
+
+    def test_record_and_check_a_toy_command_set(self, monkeypatch, tmp_path, capsys):
+        # a record of a JSON output, a CSV output and an error exit checks
+        # clean on the tree that wrote it.  A float moved within its
+        # tolerance still does; one moved past it, or a changed exit code,
+        # is listed and fails the check, and another command set is refused
+        script = load_script("same_outputs")
+        toy = [["solve", "--a", "1"], ["eval", "--a", "1", "--samples", "3"], ["solve", "--a", "1", "--m", "2"]]
+        monkeypatch.setattr(script, "commands", lambda: toy)
+        path = tmp_path / "outputs.json"
+        assert script.main(["--record", str(path)]) == 0
+        written = path.read_text()
+        assert len(written.splitlines()) == len(toy) + 2  # one command a line, inside [ and ]
+        solve, curve, refused = json.loads(written)
+        assert (solve["stdout"]["json"]["E0"], len(curve["stdout"]["csv"]), refused["exit"]) == (-2.0, 3, 3)
+        assert script.main(["--check", str(path)]) == 0
+
+        def check_edited(edit) -> int:
+            entries = json.loads(written)
+            edit(*entries)
+            path.write_text(json.dumps(entries))
+            capsys.readouterr()
+            return script.main(["--check", str(path)])
+
+        def move_e0(ulps):
+            return lambda s, c, r: s["stdout"]["json"].update(E0=-2.0 - ulps * math.ulp(2.0))
+
+        def move_r(units):  # the middle sample of R, by units of its ninth significant digit
+            row = curve["stdout"]["csv"][1]
+            unit = 10.0 ** (math.floor(math.log10(row[1])) - 8)
+            return lambda s, c, r: c["stdout"]["csv"][1].__setitem__(1, row[1] + units * unit)
+
+        assert check_edited(move_e0(script.FLOAT_ULPS)) == 0
+        assert check_edited(move_e0(script.FLOAT_ULPS + 1)) == 1
+        assert "differs in stdout (exit 0 -> 0): anharm2d solve --a 1\n" in capsys.readouterr().out
+        assert check_edited(move_r(0.9)) == 0
+        assert check_edited(move_r(1.1)) == 1
+        assert check_edited(lambda s, c, r: r.update(exit=5)) == 1
+        assert "differs in exit code (exit 5 -> 3)" in capsys.readouterr().out
+        monkeypatch.setattr(script, "commands", lambda: toy[:2])
+        with pytest.raises(SystemExit, match="another command set"):
+            script.main(["--check", str(path)])
 
 
 TOY_SOURCE = '''"""Module docstring,
